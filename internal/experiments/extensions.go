@@ -11,7 +11,6 @@ import (
 	"perfcloud/internal/exec"
 	"perfcloud/internal/mapreduce"
 	"perfcloud/internal/sim"
-	"perfcloud/internal/straggler"
 	"perfcloud/internal/trace"
 	"perfcloud/internal/workloads"
 )
@@ -25,7 +24,7 @@ import (
 // SchemeHybrid combines PerfCloud with LATE speculative execution — the
 // complementary deployment the paper proposes for heterogeneous fleets.
 func SchemeHybrid() Scheme {
-	return Scheme{Name: "PerfCloud+LATE", Speculator: straggler.NewLATE(), Clones: 1, PerfCloud: true}
+	return Scheme{Name: "PerfCloud+LATE", NewSpeculator: newLATE, Clones: 1, PerfCloud: true}
 }
 
 // HeteroRow is one scheme's outcome on the heterogeneous fleet.
@@ -61,7 +60,7 @@ func Heterogeneous(seed int64) HeteroResult {
 			SlowServers:      2,
 			SlowFactor:       0.35,
 			WorkersPerServer: 6,
-			Speculator:       sch.Speculator,
+			Speculator:       sch.speculator(),
 			PerfCloud:        pc,
 		})
 		tb.MustInput("input", 40*(64<<20)) // 40 maps over 72 slots

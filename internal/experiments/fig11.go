@@ -16,18 +16,34 @@ import (
 	"perfcloud/internal/workloads"
 )
 
-// Scheme is one straggler-mitigation / isolation policy under test.
+// Scheme is one straggler-mitigation / isolation policy under test. A
+// Scheme is shared by every repetition that runs it, often concurrently,
+// so it carries constructors and plain values only — never live state.
 type Scheme struct {
-	Name       string
-	Speculator exec.Speculator
-	Clones     int // >1 enables Dolly-style job cloning
-	PerfCloud  bool
+	Name string
+	// NewSpeculator builds the speculator for one repetition (nil = no
+	// speculation). Speculators keep per-call scratch, so repetitions must
+	// never share one.
+	NewSpeculator func() exec.Speculator
+	Clones        int // >1 enables Dolly-style job cloning
+	PerfCloud     bool
 	// CloneTaskThreshold bounds which jobs Dolly clones: Dolly is a
 	// small-job technique (the paper: "full cloning of small jobs"), so
 	// only jobs with at most this many tasks get clones. 0 means the
 	// Dolly default of 10.
 	CloneTaskThreshold int
 }
+
+// speculator builds a fresh speculator for one repetition, or nil.
+func (s Scheme) speculator() exec.Speculator {
+	if s.NewSpeculator == nil {
+		return nil
+	}
+	return s.NewSpeculator()
+}
+
+// newLATE builds a LATE speculator with the paper's defaults.
+func newLATE() exec.Speculator { return straggler.NewLATE() }
 
 // cloneThreshold resolves the small-job cutoff.
 func (s Scheme) cloneThreshold() int {
@@ -41,7 +57,7 @@ func (s Scheme) cloneThreshold() int {
 func SchemeDefault() Scheme { return Scheme{Name: "default", Clones: 1} }
 
 // SchemeLATE applies LATE speculative execution.
-func SchemeLATE() Scheme { return Scheme{Name: "LATE", Speculator: straggler.NewLATE(), Clones: 1} }
+func SchemeLATE() Scheme { return Scheme{Name: "LATE", NewSpeculator: newLATE, Clones: 1} }
 
 // SchemeDolly clones every job n times and takes the first finisher.
 func SchemeDolly(n int) Scheme { return Scheme{Name: fmt.Sprintf("Dolly-%d", n), Clones: n} }
@@ -236,7 +252,7 @@ func runMix(cfg LargeScaleConfig, sch Scheme, withAntagonists bool) MixOutcome {
 		Seed:             cfg.Seed,
 		Servers:          cfg.Servers,
 		WorkersPerServer: cfg.WorkersPerServer, BlockBytes: mixBlockBytes,
-		Speculator: sch.Speculator,
+		Speculator: sch.speculator(),
 		PerfCloud:  pc,
 		Tracer:     tr,
 	})

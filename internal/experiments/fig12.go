@@ -187,7 +187,7 @@ func fig12Run(cfg VariabilityConfig, seed int64, workload string, sch Scheme, an
 		Seed:             seed,
 		Servers:          cfg.Servers,
 		WorkersPerServer: cfg.WorkersPerServer,
-		Speculator:       sch.Speculator,
+		Speculator:       sch.speculator(),
 		PerfCloud:        pc,
 		BlockBytes:       mixBlockBytes,
 		Tracer:           tr,

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -140,18 +142,24 @@ var sharedPool = NewSlotPool(runtime.GOMAXPROCS(0) - 1)
 func SharedPool() *SlotPool { return sharedPool }
 
 // ForEachShared invokes fn(i) for every i in [0, n) with at most want
-// workers, like ForEachParallel, but draws the extra goroutines from the
-// process-wide SharedPool instead of spawning unconditionally. The
-// caller's goroutine always participates as one worker; up to want-1
-// additional workers run while slots are available, each returning its
-// slot as it retires. When the pool is drained (or want <= 1, or n <= 1)
-// the loop runs inline — sequentially — on the caller's goroutine.
+// workers, drawing the extra goroutines from the process-wide SharedPool
+// instead of spawning unconditionally. The caller's goroutine always
+// participates as one worker; up to want-1 additional workers run while
+// slots are available, each returning its slot as it retires. When the
+// pool is drained (or want <= 1, or n <= 1) the loop runs inline —
+// sequentially — on the caller's goroutine.
 //
-// The contract on fn matches ForEachParallel: iterations must be
-// mutually independent and write only to index-owned locations; under
-// it, every schedule is bit-for-bit identical to the sequential mode. A
-// panic in fn stops further scheduling and is re-raised on the caller's
-// goroutine after in-flight work drains.
+// The iteration indices are handed out through an atomic counter, so the
+// assignment of indices to goroutines (and their completion order) is
+// nondeterministic; callers must make fn(i) independent of fn(j) for
+// i != j and must write results only to index-i-owned locations. Under
+// that contract every schedule is bit-for-bit identical to the
+// sequential mode.
+//
+// A panic in fn stops further scheduling and is re-raised on the
+// caller's goroutine after in-flight work drains, as a *IterationPanic
+// carrying the iteration index and the stack of the goroutine that
+// panicked — on a worker goroutine that stack is otherwise lost.
 func ForEachShared(n, want int, fn func(i int)) {
 	if want > n {
 		want = n
@@ -161,7 +169,13 @@ func ForEachShared(n, want int, fn func(i int)) {
 		extra = sharedPool.TryAcquire(want - 1)
 	}
 	if extra == 0 {
-		for i := 0; i < n; i++ {
+		i := 0
+		defer func() {
+			if r := recover(); r != nil {
+				panic(newIterationPanic(i, r))
+			}
+		}()
+		for ; i < n; i++ {
 			fn(i)
 		}
 		return
@@ -171,7 +185,7 @@ func ForEachShared(n, want int, fn func(i int)) {
 		stop     atomic.Bool
 		wg       sync.WaitGroup
 		panicMu  sync.Mutex
-		panicked any
+		panicked *IterationPanic
 	)
 	work := func() {
 		for !stop.Load() {
@@ -185,7 +199,7 @@ func ForEachShared(n, want int, fn func(i int)) {
 						stop.Store(true)
 						panicMu.Lock()
 						if panicked == nil {
-							panicked = r
+							panicked = newIterationPanic(i, r)
 						}
 						panicMu.Unlock()
 					}
@@ -207,4 +221,23 @@ func ForEachShared(n, want int, fn func(i int)) {
 	if panicked != nil {
 		panic(panicked)
 	}
+}
+
+// IterationPanic is the value ForEachShared re-raises when fn panics: the
+// failing iteration, the original panic value and the stack of the
+// goroutine fn panicked on.
+type IterationPanic struct {
+	Index int
+	Value any
+	Stack []byte
+}
+
+// newIterationPanic captures the stack of the panicking goroutine; call it
+// from the deferred recover, before the stack unwinds.
+func newIterationPanic(i int, r any) *IterationPanic {
+	return &IterationPanic{Index: i, Value: r, Stack: debug.Stack()}
+}
+
+func (p *IterationPanic) Error() string {
+	return fmt.Sprintf("sim: iteration %d panicked: %v\n\n%s", p.Index, p.Value, p.Stack)
 }

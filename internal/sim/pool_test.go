@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -52,6 +53,15 @@ func TestForEachSharedCoversAllIndices(t *testing.T) {
 	}
 }
 
+func TestForEachSharedZeroAndOne(t *testing.T) {
+	ForEachShared(0, 4, func(int) { t.Error("fn called for n=0") })
+	calls := 0
+	ForEachShared(1, 4, func(i int) { calls++ })
+	if calls != 1 {
+		t.Errorf("n=1 calls = %d", calls)
+	}
+}
+
 func TestForEachSharedReleasesSlots(t *testing.T) {
 	before := SharedPool().InUse()
 	ForEachShared(100, 8, func(i int) {})
@@ -73,20 +83,43 @@ func TestForEachSharedPeakWithinCapacity(t *testing.T) {
 }
 
 func TestForEachSharedPanicPropagates(t *testing.T) {
-	before := SharedPool().InUse()
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("panic in fn was swallowed")
-		}
+	for _, workers := range []int{1, 4} {
+		before := SharedPool().InUse()
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("workers=%d: panic in fn was swallowed", workers)
+				}
+				p, ok := r.(*IterationPanic)
+				if !ok {
+					t.Fatalf("workers=%d: recovered %T, want *IterationPanic", workers, r)
+				}
+				if p.Index != 7 || p.Value != "boom" {
+					t.Errorf("workers=%d: index %d value %v, want 7 boom", workers, p.Index, p.Value)
+				}
+				msg := p.Error()
+				if !strings.Contains(msg, "iteration 7") {
+					t.Errorf("workers=%d: message does not name the failing index:\n%s", workers, msg)
+				}
+				if !strings.Contains(msg, "sim.panicAtSeven") {
+					t.Errorf("workers=%d: message lacks the panicking function's frame:\n%s", workers, msg)
+				}
+			}()
+			ForEachShared(64, workers, panicAtSeven)
+		}()
 		if after := SharedPool().InUse(); after != before {
-			t.Fatalf("slots leaked across panic: InUse %d -> %d", before, after)
+			t.Fatalf("workers=%d: slots leaked across panic: InUse %d -> %d", workers, before, after)
 		}
-	}()
-	ForEachShared(64, 4, func(i int) {
-		if i == 7 {
-			panic("boom")
-		}
-	})
+	}
+}
+
+// panicAtSeven is a named loop body so the re-raised stack can be
+// checked for its frame.
+func panicAtSeven(i int) {
+	if i == 7 {
+		panic("boom")
+	}
 }
 
 func TestForEachSharedSequentialWhenDrained(t *testing.T) {
