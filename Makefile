@@ -32,12 +32,12 @@ check:
 	$(MAKE) race
 
 # bench measures the hot loops of the simulation and control plane —
-# Monitor.Sample, Correlator identification, quiescent-cluster ticks,
-# busy-cluster (active) ticks and mixed-cluster strides — and merges the
+# Monitor.Sample, Correlator identification, quiescent-cluster ticks and
+# busy-cluster (active) ticks — and merges the
 # parsed results (iteration count, ns/op, B/op, allocs/op) into
 # BENCH_hotloop.json via cmd/benchjson. The raw `go test` output is
 # echoed so regressions are visible without opening the file.
-BENCH_PATTERN = MonitorSample|CorrelatorIdentify|QuiescentCluster|ActiveServerTick|StrideAdvance
+BENCH_PATTERN = MonitorSample|CorrelatorIdentify|QuiescentCluster|ActiveServerTick
 bench:
 	go test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem \
 		./internal/core ./internal/cluster | go run ./cmd/benchjson -o BENCH_hotloop.json

@@ -361,9 +361,6 @@ func printFastPaths(w *os.File) {
 	fmt.Fprintf(w, "fastpaths: %d grant-phase ticks: %d skipped (%.1f%%), %d reused (%.1f%%), %d rebuilt\n",
 		ticks, fp.QuiescentSkips, rate(fp.QuiescentSkips, fp.SteadyReuses+fp.Rebuilds),
 		fp.SteadyReuses, rate(fp.SteadyReuses, fp.QuiescentSkips+fp.Rebuilds), fp.Rebuilds)
-	fmt.Fprintf(w, "fastpaths: event-driven strides: %d cluster ticks elided across %d horizons (avg %.1f ticks/stride)\n",
-		fp.StrideSkips, fp.HorizonRecomputes,
-		float64(fp.StrideSkips)/float64(max(fp.HorizonRecomputes, 1)))
 	fmt.Fprintf(w, "fastpaths: sharded ticking: %d whole-shard skips\n", fp.ShardSkips)
 	fmt.Fprintf(w, "fastpaths: allocator memo hit rates: cpu %.1f%% (%d/%d), mem %.1f%% (%d/%d), disk %.1f%% (%d/%d)\n",
 		rate(fp.CPUMemoHits, fp.CPUMemoMisses), fp.CPUMemoHits, fp.CPUMemoHits+fp.CPUMemoMisses,

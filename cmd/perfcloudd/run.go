@@ -11,7 +11,6 @@ import (
 	"perfcloud/internal/experiments"
 	"perfcloud/internal/mapreduce"
 	"perfcloud/internal/obs"
-	"perfcloud/internal/sim"
 	tracing "perfcloud/internal/trace"
 	"perfcloud/internal/workloads"
 )
@@ -115,10 +114,6 @@ func run(cfg runConfig) error {
 		"Grant phases that reused the previous demand vectors.")
 	gRebuilds := cfg.Metrics.Gauge("perfcloud_fastpath_rebuilds",
 		"Grant phases that rebuilt the demand vectors.")
-	gStrides := cfg.Metrics.Gauge("perfcloud_fastpath_stride_skips",
-		"Whole-cluster ticks elided by event-driven strides.")
-	gHorizons := cfg.Metrics.Gauge("perfcloud_fastpath_horizon_recomputes",
-		"Next-event horizon computations backing the strides.")
 	gShardSkips := cfg.Metrics.Gauge("perfcloud_fastpath_shard_skips",
 		"Whole-shard ticks elided by the sharded tick.")
 	memoHits := [3]*obs.Gauge{}
@@ -134,7 +129,7 @@ func run(cfg runConfig) error {
 	// Daemon time series. Throttle footprint is sampled at observe time;
 	// the deviation signals are appended from the node manager's trace
 	// entries below, so each point carries the control interval's exact
-	// simulation timestamp even when strides elided the ticks between.
+	// simulation timestamp.
 	sCapped := cfg.Series.Series("capped_vms")
 	sIowait := cfg.Series.Series("dev_iowait", obs.Label{Key: "server", Value: "server-0"})
 	sCPI := cfg.Series.Series("dev_cpi", obs.Label{Key: "server", Value: "server-0"})
@@ -145,8 +140,6 @@ func run(cfg runConfig) error {
 		gSkips.Set(float64(fp.QuiescentSkips))
 		gSteady.Set(float64(fp.SteadyReuses))
 		gRebuilds.Set(float64(fp.Rebuilds))
-		gStrides.Set(float64(fp.StrideSkips))
-		gHorizons.Set(float64(fp.HorizonRecomputes))
 		gShardSkips.Set(float64(fp.ShardSkips))
 		hits := [3]uint64{fp.CPUMemoHits, fp.MemMemoHits, fp.DiskMemoHits}
 		misses := [3]uint64{fp.CPUMemoMisses, fp.MemMemoMisses, fp.DiskMemoMisses}
@@ -209,21 +202,8 @@ func run(cfg runConfig) error {
 	nm := tb.Sys.Managers()[0]
 	ticks := int64(cfg.Duration / tb.Eng.Clock().TickSize())
 	nextObserve := interval
-	st := tb.Stepper()
-	for i := int64(0); i < ticks; {
-		i += st.Step(func(clk *sim.Clock) int64 {
-			// Stop at completions (the resubmission below must happen on the
-			// same tick per-tick stepping would use) and before the next
-			// daemon observation so its gauges sample the same instants.
-			if doneFn() {
-				return 0
-			}
-			b := ticks - i - 1
-			if nb := clk.TicksBefore(nextObserve, b); nb < b {
-				b = nb
-			}
-			return b
-		})
+	for i := int64(0); i < ticks; i++ {
+		tb.Eng.Step()
 		now := tb.Eng.Clock().Seconds()
 		if doneFn() {
 			fmt.Fprintf(cfg.Log, "[%7.1fs] hadoop: terasort finished, resubmitting\n", now)

@@ -217,8 +217,7 @@ func TestFastPathFieldNamesPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{
-		"quiescent_skips", "steady_reuses", "rebuilds",
-		"stride_skips", "horizon_recomputes", "shard_skips",
+		"quiescent_skips", "steady_reuses", "rebuilds", "shard_skips",
 	} {
 		if _, ok := raw[key]; !ok {
 			t.Errorf("/debug/fastpaths missing pinned field %q (got %v)", key, raw)

@@ -7,7 +7,7 @@
 //
 //	psim [-servers N] [-workers N] [-scheme default|late|dolly-2|dolly-4|perfcloud]
 //	     [-workload terasort|wordcount|inverted-index|spark-logreg|spark-pagerank|spark-svm]
-//	     [-jobs N] [-fio N] [-streams N] [-seed N] [-v] [-stride on|off]
+//	     [-jobs N] [-fio N] [-streams N] [-seed N] [-v]
 //	     [-shards N] [-trace FILE] [-phase-report] [-phase-csv] [-scorecard]
 //
 // -trace writes a Chrome-trace-event/Perfetto JSON timeline of every
@@ -45,7 +45,6 @@ func main() {
 	nstream := flag.Int("streams", 1, "STREAM antagonist VMs")
 	seed := flag.Int64("seed", 42, "random seed")
 	verbose := flag.Bool("v", false, "print every control interval")
-	stride := flag.String("stride", "on", "event-driven time advancement: on|off (off forces per-tick stepping)")
 	shards := flag.Int("shards", 0, "cluster tick shards: 0 auto, n forced, -1 flat pre-shard path")
 	traceFile := flag.String("trace", "", "write a Perfetto/chrome-trace JSON timeline to this file")
 	phaseReport := flag.Bool("phase-report", false, "print per-job phase attribution and critical path")
@@ -58,14 +57,6 @@ func main() {
 		*alerts = true
 	}
 
-	switch *stride {
-	case "on":
-	case "off":
-		cluster.SetDefaultStride(false)
-	default:
-		fmt.Fprintf(os.Stderr, "psim: -stride must be on or off, got %q\n", *stride)
-		os.Exit(2)
-	}
 	cluster.SetDefaultShards(*shards)
 
 	cfg := experiments.TestbedConfig{
@@ -185,7 +176,7 @@ func main() {
 			}
 			g := tb.Dolly.Watch(fmt.Sprintf("job-%d", i), clones...)
 			watch = g.Done
-			if !tb.Stepper().RunUntil(watch, time.Hour) {
+			if !tb.Eng.RunUntil(watch, time.Hour) {
 				fmt.Fprintln(os.Stderr, "psim: job did not finish")
 				os.Exit(1)
 			}
@@ -194,7 +185,7 @@ func main() {
 			continue
 		}
 		c := spawn()
-		if !tb.Stepper().RunUntil(c.Done, time.Hour) {
+		if !tb.Eng.RunUntil(c.Done, time.Hour) {
 			fmt.Fprintln(os.Stderr, "psim: job did not finish")
 			os.Exit(1)
 		}

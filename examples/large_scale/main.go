@@ -27,7 +27,6 @@ func main() {
 	flag.Parse()
 	cluster.SetDefaultTickWorkers(*parallel)
 	experiments.SetMaxParallelRuns(*parallel)
-	experiments.SetTrackFastPaths(true)
 	workers := *parallel
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -56,16 +55,4 @@ func main() {
 	fmt.Println("PerfCloud throttles antagonists at their source: no cloned or")
 	fmt.Println("speculative work, so its efficiency stays at ~100% while Dolly's")
 	fmt.Println("falls with every extra clone.")
-
-	// The mixes advance through the event-driven stepper: whenever every
-	// framework is between scheduling decisions the simulation replays the
-	// resource pipeline in variable-length strides instead of full engine
-	// ticks. Report how much of the simulated time that covered.
-	fp := experiments.FastPathTotals()
-	grant := fp.QuiescentSkips + fp.SteadyReuses + fp.Rebuilds
-	if ticks := grant / uint64(cfg.Servers); ticks > 0 { // grant phases are per server
-		fmt.Printf("\nstride stepping: %d of %d cluster ticks elided (%.1f%%), avg %.1f ticks per stride\n",
-			fp.StrideSkips, ticks, 100*float64(fp.StrideSkips)/float64(ticks),
-			float64(fp.StrideSkips)/float64(max(fp.HorizonRecomputes, 1)))
-	}
 }

@@ -97,8 +97,8 @@ func main() {
 	fp := tb.Clus.FastPathStats()
 	fmt.Printf("active servers at the end: %d of %d (%d shards)\n",
 		tb.Clus.ActiveServers(), tb.Clus.NumServers(), tb.Clus.ShardCount())
-	fmt.Printf("fast paths: %d whole-shard skips, %d quiescent grant skips, %d stride-elided ticks\n",
-		fp.ShardSkips, fp.QuiescentSkips, fp.StrideSkips)
+	fmt.Printf("fast paths: %d whole-shard skips, %d quiescent grant skips\n",
+		fp.ShardSkips, fp.QuiescentSkips)
 
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {

@@ -94,54 +94,6 @@ func BenchmarkActiveServerTickNoReuse(b *testing.B) {
 	benchActiveTick(b)
 }
 
-// churnBench bumps its demand epoch on every grant — demand reuse never
-// applies, so every tick of its server is a full rebuild.
-type churnBench struct {
-	demand Demand
-	epoch  uint64
-}
-
-func (w *churnBench) Name() string                     { return "churn" }
-func (w *churnBench) Demand(tickSec float64) Demand    { return w.demand }
-func (w *churnBench) Advance(tickSec float64, g Grant) { w.epoch++ }
-func (w *churnBench) Done() bool                       { return false }
-func (w *churnBench) DemandEpoch() uint64              { return w.epoch }
-
-// BenchmarkStrideAdvance measures Cluster.Stride over a mixed cluster —
-// the shape event-driven stepping actually sees mid-experiment: some
-// servers all-idle (quiescence skip), some steady (fused replay), some
-// churning demand every tick (full rebuild). One op is a 16-tick stride.
-func BenchmarkStrideAdvance(b *testing.B) {
-	defer setAllFastPaths(true)()
-	eng := sim.NewEngine(100*time.Millisecond, 3)
-	cl := New()
-	cl.SetTickWorkers(1)
-	for s := 0; s < 16; s++ {
-		srv := cl.AddServer(fmt.Sprintf("s%02d", s), DefaultServerConfig(), eng.RNG())
-		for i := 0; i < 8; i++ {
-			vm := cl.AddVM(srv, fmt.Sprintf("s%02d-vm%d", s, i), 2, 8<<30, LowPriority, "")
-			switch s % 3 {
-			case 0: // quiescent: no workload attached
-			case 1:
-				vm.SetWorkload(&steadyBench{demand: busyDemand()})
-			case 2:
-				vm.SetWorkload(&churnBench{demand: busyDemand()})
-			}
-		}
-	}
-	clk := eng.Clock()
-	cl.Tick(clk) // settle scratch buffers, arm memos and quiescence
-	sync := func(nowSec float64) {}
-	stop := func() bool { return false }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if n := cl.Stride(clk, 16, sync, stop); n != 16 {
-			b.Fatalf("stride elided %d ticks, want 16", n)
-		}
-	}
-}
-
 // BenchmarkShardScale pins the sharded tick path's O(active + shards)
 // contract: the same fixed set of busy servers (8 steady workloads)
 // inside fleets of different total size. Growing the fleet 10x grows

@@ -736,11 +736,9 @@ type Cluster struct {
 	workers int
 
 	// ticks counts Tick invocations on the sharded path. It is the time
-	// base for O(1) elided-tick accounting: a server deactivated at tick
+	// base for O(1) skipped-tick accounting: a server deactivated at tick
 	// k and woken while the counter reads w missed exactly w-1-k grant
-	// phases. Stride replays ticks without advancing the engine clock, so
-	// this cluster-owned counter — not sim.Clock — is the only correct
-	// base.
+	// phases.
 	ticks uint64
 
 	// Sharded-tick state (DESIGN.md §5.7): the shard partition over the
@@ -770,29 +768,17 @@ type Cluster struct {
 	// same encoding as quiesce.
 	reuse int8
 
-	// stride selects event-driven stepping (Stride fast-forwarding runs of
-	// event-free ticks), with the same encoding as quiesce.
-	stride int8
-
-	// Cumulative stride accounting: engine ticks elided by Stride and how
-	// many times a stride horizon was computed (i.e. Stride invocations).
-	// Owned by the goroutine stepping the engine; read between ticks via
-	// FastPathStats.
-	statStrideSkips       uint64
-	statHorizonRecomputes uint64
-
 	// statShardSkips counts shards skipped wholesale — per tick, per
 	// shard whose every server was inactive.
 	statShardSkips uint64
 
 	// Engine self-profiling (wall-clock, non-deterministic, never in sim
-	// outputs): sampled phase timers for the grant fan-out, the advance
-	// sweep and stride replay. Nil — one branch per phase — until
-	// SetHealth attaches a health layer.
+	// outputs): sampled phase timers for the grant fan-out and the advance
+	// sweep. Nil — one branch per phase — until SetHealth attaches a
+	// health layer.
 	health   *obs.Health
 	tGrant   *obs.PhaseTimer
 	tAdvance *obs.PhaseTimer
-	tStride  *obs.PhaseTimer
 }
 
 // defaultTickWorkers is the package-wide worker default for clusters that
@@ -840,23 +826,6 @@ var defaultDemandReuseOff atomic.Bool
 // can prove exactly that. Per-cluster SetDemandReuse overrides it.
 func SetDefaultDemandReuse(enabled bool) bool {
 	return !defaultDemandReuseOff.Swap(!enabled)
-}
-
-// defaultStrideOff disables event-driven stepping package-wide when set;
-// the zero value (enabled) is the normal operating mode. It is atomic so
-// tests can flip modes without racing live clusters.
-var defaultStrideOff atomic.Bool
-
-// SetDefaultStride toggles the package-wide default for event-driven
-// stepping (Stride eliding runs of event-free engine ticks) and returns
-// the previous setting. Striding is enabled by default; both settings
-// produce bit-for-bit identical simulations — every elided tick's grant
-// pipeline, random draws and counter arithmetic are replayed exactly, only
-// the engine dispatch and provably idle framework scans are skipped (see
-// DESIGN.md §5.6 and TestStrideMatchesPerTick). Per-cluster SetStride
-// overrides it.
-func SetDefaultStride(enabled bool) bool {
-	return !defaultStrideOff.Swap(!enabled)
 }
 
 // New creates an empty cluster.
@@ -931,30 +900,8 @@ func (c *Cluster) DemandReuseEnabled() bool {
 	return !defaultDemandReuseOff.Load()
 }
 
-// SetStride overrides the package-wide event-driven stepping default for
-// this cluster (see SetDefaultStride).
-func (c *Cluster) SetStride(enabled bool) {
-	if enabled {
-		c.stride = 1
-	} else {
-		c.stride = 2
-	}
-}
-
-// StrideEnabled returns the effective event-driven stepping setting for
-// this cluster.
-func (c *Cluster) StrideEnabled() bool {
-	switch c.stride {
-	case 1:
-		return true
-	case 2:
-		return false
-	}
-	return !defaultStrideOff.Load()
-}
-
 // SetHealth attaches an engine self-profiling layer: sampled wall-clock
-// timers around the grant fan-out, the advance sweep and stride replay.
+// timers around the grant fan-out and the advance sweep.
 // The timers measure the simulator's own execution — they never touch
 // simulation state or outputs — and nil detaches them, restoring the
 // single-branch no-op fast path.
@@ -962,7 +909,6 @@ func (c *Cluster) SetHealth(h *obs.Health) {
 	c.health = h
 	c.tGrant = h.Timer("cluster.grant")
 	c.tAdvance = h.Timer("cluster.advance")
-	c.tStride = h.Timer("cluster.stride")
 }
 
 // AddServer creates a server with the given id and configuration.
@@ -1071,16 +1017,12 @@ func (c *Cluster) RemoveVM(id string) {
 func (c *Cluster) PlacementSeq() uint64 { return c.placeSeq }
 
 // FastPathStats sums the fast-path accounting of every server in the
-// cluster and adds the cluster-level stride and shard counters. Call it
+// cluster and adds the cluster-level shard counter. Call it
 // between ticks (see Server.FastPathStats). With a current shard
 // partition the sum is assembled in O(active servers + shards) from the
 // per-shard aggregates; otherwise it falls back to the full sweep.
 func (c *Cluster) FastPathStats() obs.FastPathSnapshot {
-	fp := obs.FastPathSnapshot{
-		StrideSkips:       c.statStrideSkips,
-		HorizonRecomputes: c.statHorizonRecomputes,
-		ShardSkips:        c.statShardSkips,
-	}
+	fp := obs.FastPathSnapshot{ShardSkips: c.statShardSkips}
 	if !c.partitionCurrent() {
 		for _, s := range c.servers {
 			fp.Add(s.FastPathStats())
@@ -1209,42 +1151,4 @@ func (c *Cluster) flatTick(tickSec float64, quiesce, reuse bool) {
 		s.advancePhase(tickSec)
 	}
 	c.tAdvance.End(ta)
-}
-
-// Stride fast-forwards the cluster through up to max upcoming ticks whose
-// engine dispatch the caller has proven redundant — every framework's tick
-// would be a no-op and no controller interval is due — replaying each
-// elided tick's full resource pipeline so results stay bit-for-bit
-// identical to per-tick stepping (the AdvanceTo path of DESIGN.md §5.6).
-// The caller owns all cluster-external event sources; Stride itself only
-// has to stop when the pipeline produces an event the frameworks must see,
-// which the stop callback detects after each replayed tick (in practice: a
-// task attempt retiring, observable as a freed executor slot). sync is
-// invoked before each replayed tick with that tick's exact simulated time
-// and must perform the per-tick clock synchronization the elided framework
-// ticks would have (executor SyncClock), so completion timestamps come out
-// identical. Returns the number of ticks elided, 0 <= n <= max.
-//
-// Demand-epoch changes during the stride — a workload finishing, a burst
-// antagonist flipping phase, a task attempt tapering off — do not stop it:
-// grantPhase natively detects them and rebuilds, exactly as it does under
-// per-tick stepping.
-func (c *Cluster) Stride(clk *sim.Clock, max int64, sync func(nowSec float64), stop func() bool) int64 {
-	if max <= 0 || !c.StrideEnabled() {
-		return 0
-	}
-	c.statHorizonRecomputes++
-	ts := c.tStride.Begin()
-	var n int64
-	for n < max {
-		sync(clk.PeekSeconds(n))
-		c.Tick(clk)
-		n++
-		c.statStrideSkips++
-		if stop() {
-			break
-		}
-	}
-	c.tStride.End(ts)
-	return n
 }

@@ -15,7 +15,7 @@ import (
 // never touches them — and the cluster tick counter plus the PR 2 replay
 // machinery (Disk.AdvanceIdle via catchUp) settles the elided ticks in
 // O(1) bookkeeping when a dirtying event wakes them. A shard none of
-// whose servers are active is skipped wholesale, so Tick and Stride cost
+// whose servers are active is skipped wholesale, so Tick costs
 // O(active servers + shards), not O(total servers).
 //
 // Determinism: per-server RNG streams are derived from (master seed,

@@ -271,12 +271,6 @@ func (nm *NodeManager) Correlator() *Correlator { return nm.corr }
 // move off its server (empty unless EnableMigration).
 func (nm *NodeManager) Migrations() []string { return append([]string(nil), nm.migrations...) }
 
-// NextSampleSec returns the simulated time at which the agent next acts;
-// a Tick whose time is strictly below it is a no-op. The event-driven
-// stepper bounds strides by it so no control interval is ever elided
-// (DESIGN.md §5.6).
-func (nm *NodeManager) NextSampleSec() float64 { return nm.nextSample }
-
 // Tick implements sim.Tickable; the agent acts every IntervalSec of
 // simulated time. Register it after the cluster (priority +1) so it
 // observes completed intervals.

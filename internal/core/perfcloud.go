@@ -14,18 +14,6 @@ import (
 // nothing but the cloud manager's read-only VM metadata.
 type System struct {
 	managers []*NodeManager
-
-	// alerts is the rule-engine ticker (nil without cfg.Alerts). It acts
-	// on the same sim-time cadence discipline as the managers, so its
-	// next-eval time folds into the stride bound below.
-	alerts *alertTicker
-
-	// Cached minimum of the managers' NextSampleSec, for StrideBound.
-	// A manager's next-interval time only moves when its Tick fires, and
-	// that only happens on a tick at or past the minimum — so the cached
-	// value stays exact for every tick strictly before it.
-	boundValid bool
-	nextAct    float64
 }
 
 // alertTicker evaluates the alert engine every IntervalSec of simulated
@@ -46,10 +34,6 @@ func (a *alertTicker) Tick(c *sim.Clock) {
 	a.next = now + a.interval
 	a.eng.Eval(now)
 }
-
-// NextEvalSec returns the simulated time of the next rule evaluation,
-// for stride bounding.
-func (a *alertTicker) NextEvalSec() float64 { return a.next }
 
 // Attach deploys PerfCloud on every server of the cluster and registers
 // the agents with the engine at priority +1, after the resource pipeline,
@@ -76,8 +60,7 @@ func Attach(eng *sim.Engine, cl *cluster.Cluster, cm *cloud.Manager, cfg Config)
 		eng.RegisterPriority(nm, 1)
 	})
 	if cfg.Alerts != nil {
-		sys.alerts = &alertTicker{eng: cfg.Alerts, interval: cfg.IntervalSec}
-		eng.RegisterPriority(sys.alerts, 2)
+		eng.RegisterPriority(&alertTicker{eng: cfg.Alerts, interval: cfg.IntervalSec}, 2)
 	}
 	return sys
 }
@@ -93,39 +76,6 @@ func (s *System) EachManager(fn func(*NodeManager)) {
 	for _, nm := range s.managers {
 		fn(nm)
 	}
-}
-
-// StrideBound caps max to the number of upcoming ticks — starting with
-// the next tick to execute on clk — that fall strictly before every
-// agent's next control interval, so event-driven strides never elide a
-// tick on which some node manager would act. TicksBefore is monotone in
-// its target, so the per-manager minimum equals TicksBefore of the
-// earliest next interval — which is cached across calls and recomputed
-// only once the clock reaches it, making the per-stride cost O(1)
-// instead of O(managers) on a planet-scale fleet.
-func (s *System) StrideBound(clk *sim.Clock, max int64) int64 {
-	if len(s.managers) == 0 && s.alerts == nil {
-		return max
-	}
-	if max <= 0 {
-		return 0
-	}
-	if len(s.managers) == 0 {
-		return clk.TicksBefore(s.alerts.NextEvalSec(), max)
-	}
-	if !s.boundValid || !(clk.PeekSeconds(0) < s.nextAct) {
-		s.nextAct = s.managers[0].NextSampleSec()
-		for _, nm := range s.managers[1:] {
-			if t := nm.NextSampleSec(); t < s.nextAct {
-				s.nextAct = t
-			}
-		}
-		if s.alerts != nil && s.alerts.NextEvalSec() < s.nextAct {
-			s.nextAct = s.alerts.NextEvalSec()
-		}
-		s.boundValid = true
-	}
-	return clk.TicksBefore(s.nextAct, max)
 }
 
 // Manager returns the agent for the given server id, or nil.

@@ -810,48 +810,6 @@ func (ts *TaskSet) Tick(nowSec float64, pool Pool) {
 	}
 }
 
-// StrideQuiet reports whether the set's next Tick is provably a no-op —
-// no completion to harvest, no sibling to kill, no launch possible, no
-// speculation round armed — and will remain one until some attempt's state
-// changes, which only happens on engine ticks (launch, kill) or stops the
-// stride at the tick it occurs (completion frees a slot). The event-driven
-// stepper elides engine ticks only while every task set is quiet
-// (DESIGN.md §5.6). Speculation is the conservative case: Candidates is
-// time-dependent (progress rates shift as now advances), so an armed
-// speculator with free slots and nothing pending blocks striding outright.
-func (ts *TaskSet) StrideQuiet(pool Pool) bool {
-	if ts.killed {
-		return true
-	}
-	done := true
-	for _, t := range ts.tasks {
-		if t.completed == nil {
-			done = false
-			for _, a := range t.attempts {
-				if a.state == AttemptCompleted {
-					return false // harvest pending
-				}
-			}
-			continue
-		}
-		for _, a := range t.attempts {
-			if a.state == AttemptRunning && a != t.completed {
-				return false // sibling kill pending
-			}
-		}
-	}
-	if done {
-		return true
-	}
-	if len(ts.pending) > 0 && pool.FreeSlots() > 0 {
-		return false // a launch would happen
-	}
-	if ts.spec != nil && len(ts.pending) == 0 && pool.FreeSlots() > 0 {
-		return false // a speculation round would run
-	}
-	return true
-}
-
 // killSiblings terminates still-running attempts of a completed task.
 func (ts *TaskSet) killSiblings(t *Task, nowSec float64) {
 	for _, a := range t.attempts {

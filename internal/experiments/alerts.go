@@ -47,7 +47,7 @@ func alertRules() []obs.Rule {
 var healthLayer atomic.Pointer[obs.Health]
 
 // SetHealth installs (or, with nil, removes) the health layer attached
-// to every subsequent testbed: cluster grant/advance/stride timers, the
+// to every subsequent testbed: cluster grant/advance timers, the
 // node managers' monitor timer and the telemetry sampling timer.
 func SetHealth(h *obs.Health) { healthLayer.Store(h) }
 

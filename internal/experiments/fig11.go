@@ -273,26 +273,13 @@ func runMix(cfg LargeScaleConfig, sch Scheme, withAntagonists bool) MixOutcome {
 	jobs := make([]*logicalJob, len(specs))
 	next := 0
 	ticks := int64(cfg.Limit / tb.Eng.Clock().TickSize())
-	st := tb.Stepper()
-	for i := int64(0); i < ticks; {
+	for i := int64(0); i < ticks; i++ {
 		now := tb.Eng.Clock().Seconds()
 		for next < len(specs) && specs[next].arriveSec <= now {
 			jobs[next] = submitLogical(tb, specs[next], sch)
 			next++
 		}
-		i += st.Step(func(clk *sim.Clock) int64 {
-			// Strides stop short of the next arrival (its submission tick
-			// must execute) and never start once the mix has drained.
-			b := ticks - i - 1
-			if next < len(specs) {
-				if nb := clk.TicksBefore(specs[next].arriveSec, b); nb < b {
-					b = nb
-				}
-			} else if allDone(jobs) {
-				return 0
-			}
-			return b
-		})
+		tb.Eng.Step()
 		if next == len(specs) && allDone(jobs) {
 			break
 		}

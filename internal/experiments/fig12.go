@@ -234,7 +234,7 @@ func fig12Run(cfg VariabilityConfig, seed int64, workload string, sch Scheme, an
 	}
 	if sch.Clones <= 1 {
 		c := submit()
-		if !tb.Stepper().RunUntil(c.Done, cfg.Limit) {
+		if !tb.Eng.RunUntil(c.Done, cfg.Limit) {
 			panic(fmt.Sprintf("experiments: fig12 %s/%s stuck", workload, sch.Name))
 		}
 		return finish(c.JCT())
@@ -244,7 +244,7 @@ func fig12Run(cfg VariabilityConfig, seed int64, workload string, sch Scheme, an
 		clones = append(clones, submit())
 	}
 	g := tb.Dolly.Watch(workload, clones...)
-	if !tb.Stepper().RunUntil(g.Done, cfg.Limit) {
+	if !tb.Eng.RunUntil(g.Done, cfg.Limit) {
 		panic(fmt.Sprintf("experiments: fig12 %s/%s clone race stuck", workload, sch.Name))
 	}
 	return finish(g.JCT())

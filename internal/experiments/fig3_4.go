@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"perfcloud/internal/core"
-	"perfcloud/internal/sim"
 	"perfcloud/internal/stats"
 	"perfcloud/internal/trace"
 	"perfcloud/internal/workloads"
@@ -63,17 +62,8 @@ func runBackToBack(tb *Testbed, b Bench, d time.Duration) {
 		}
 	}
 	submit()
-	st := tb.Stepper()
-	for i := int64(0); i < ticks; {
-		remaining := ticks - i
-		i += st.Step(func(*sim.Clock) int64 {
-			// Never stride past a completion: the resubmission must happen
-			// at the same tick (and timestamp) per-tick stepping would use.
-			if done() {
-				return 0
-			}
-			return remaining - 1
-		})
+	for i := int64(0); i < ticks; i++ {
+		tb.Eng.Step()
 		if done() {
 			submit()
 		}

@@ -26,8 +26,8 @@ func setShards(t *testing.T, n int) {
 // of sharded ticking (DESIGN.md §5.7): partitioning the fleet into
 // independently ticking shards with O(active) bookkeeping must leave
 // every figure of the paper bit-for-bit unchanged against the flat
-// path — across frameworks, antagonists, Dolly cloning, the PerfCloud
-// control loop and event-driven strides.
+// path — across frameworks, antagonists, Dolly cloning and the PerfCloud
+// control loop.
 func TestShardingMatchesFlat(t *testing.T) {
 	mix := smallMix()
 	mix.NumMR, mix.NumSpark = 4, 4

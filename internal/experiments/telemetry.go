@@ -16,9 +16,8 @@ import (
 // O(zones + shards), matching the sharded tick's own per-tick budget
 // (TestFleetMetricsBoundedByZonesPlusShards pins the output bound).
 //
-// Timestamps passed to Sample must be simulation seconds (the caller
-// reads its Clock, which PR 6's striding keeps exact across elided
-// ticks), so the series honour the stride-aware sampling contract.
+// Timestamps passed to Sample must be simulation seconds read from the
+// caller's Clock, never wall-clock time.
 type FleetTelemetry struct {
 	clus *cluster.Cluster
 	cm   *cloud.Manager

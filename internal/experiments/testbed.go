@@ -169,62 +169,16 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 	return tb
 }
 
-// Stepper returns an event-driven stepper over the testbed's engine: each
-// Step runs one engine tick, then elides upcoming ticks through the
-// testbed's Strider while every framework is provably idle (DESIGN.md
-// §5.6). With striding disabled (cluster.SetDefaultStride(false) or
-// Clus.SetStride(false)) the stepper degrades to per-tick stepping; both
-// modes are bit-for-bit identical.
+// Stepper returns a stepper over the testbed's engine with a nil
+// Strider. It stays only for the ledgerbench benchmark module; program
+// code steps tb.Eng directly.
 func (tb *Testbed) Stepper() *sim.Stepper {
-	return &sim.Stepper{Eng: tb.Eng, Str: tb}
+	return &sim.Stepper{Eng: tb.Eng}
 }
 
-// Stride implements sim.Strider: it elides up to max upcoming ticks when
-// every cluster-external event source is provably silent for them. The
-// event sources and their owners:
-//
-//   - framework scheduling (launch, harvest, state transitions) — the
-//     JobTracker/Driver/Dolly StrideQuiet predicates prove the next tick
-//     is a no-op, and it stays one until an attempt completes, which the
-//     stop callback detects (a completion frees an executor slot) and
-//     ends the stride at that exact tick;
-//   - control intervals — System.StrideBound caps the stride below every
-//     node manager's next sample time;
-//   - demand changes (workload phase flips, task tapering) — owned by the
-//     cluster pipeline itself, which detects and rebuilds them natively
-//     inside the stride (no bound needed);
-//   - driver-level events (job arrivals, observation intervals, run
-//     predicates) — owned by the caller via the Stepper bound callback.
-//
-// When any predicate cannot prove quietness the stride is 0 and the
-// engine steps per tick — the always-correct fallback.
-func (tb *Testbed) Stride(clk *sim.Clock, max int64) int64 {
-	if !tb.Clus.StrideEnabled() {
-		return 0
-	}
-	if !tb.JT.StrideQuiet() || !tb.Driver.StrideQuiet() || !tb.Dolly.StrideQuiet() {
-		return 0
-	}
-	if tb.Sys != nil {
-		max = tb.Sys.StrideBound(clk, max)
-		if max <= 0 {
-			return 0
-		}
-	}
-	free := tb.Pool.FreeSlots()
-	return tb.Clus.Stride(clk, max, tb.syncPool,
-		func() bool { return tb.Pool.FreeSlots() != free })
-}
-
-// syncPool replays the executor clock sync the frameworks' elided ticks
-// would have performed, with the exact timestamp each tick would have
-// seen — completion times are stamped from these clocks, so they must be
-// bit-identical to per-tick stepping.
-func (tb *Testbed) syncPool(nowSec float64) {
-	for _, e := range tb.Pool {
-		e.SyncClock(nowSec)
-	}
-}
+// Stride implements sim.Strider and elides nothing. It stays only for the
+// ledgerbench benchmark module.
+func (tb *Testbed) Stride(clk *sim.Clock, max int64) int64 { return 0 }
 
 // AttachTracer wires a span tracer into every executor and both
 // frameworks. Call before submitting work (NewTestbed does this when
@@ -284,7 +238,7 @@ func (tb *Testbed) RunMR(cfg mapreduce.JobConfig, limit time.Duration) *mapreduc
 	if err != nil {
 		panic(err)
 	}
-	if !tb.Stepper().RunUntil(j.Done, limit) {
+	if !tb.Eng.RunUntil(j.Done, limit) {
 		panic(fmt.Sprintf("experiments: job %s stuck in state %v", j.ID(), j.State()))
 	}
 	return j
@@ -296,7 +250,7 @@ func (tb *Testbed) RunSpark(cfg spark.AppConfig, limit time.Duration) *spark.App
 	if err != nil {
 		panic(err)
 	}
-	if !tb.Stepper().RunUntil(a.Done, limit) {
+	if !tb.Eng.RunUntil(a.Done, limit) {
 		panic(fmt.Sprintf("experiments: app %s stuck at stage %d", a.ID(), a.StageIndex()))
 	}
 	return a

@@ -246,29 +246,6 @@ func (jt *JobTracker) Tick(c *sim.Clock) {
 	}
 }
 
-// StrideQuiet reports whether the tracker's next Tick is provably a no-op
-// beyond the executor clock sync: every job is either finished or sitting
-// in a wave whose task set is quiet and not yet done. A queued job or a
-// completed wave means the next Tick takes a state-machine transition, so
-// the event-driven stepper must run it (DESIGN.md §5.6).
-func (jt *JobTracker) StrideQuiet() bool {
-	for _, j := range jt.jobs {
-		switch j.state {
-		case StateQueued:
-			return false
-		case StateMap:
-			if j.mapSet.Done() || !j.mapSet.StrideQuiet(jt.pool) {
-				return false
-			}
-		case StateReduce:
-			if j.reduceSet.Done() || !j.reduceSet.StrideQuiet(jt.pool) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // advance runs one scheduling round of a job's state machine.
 func (jt *JobTracker) advance(j *Job, now float64) {
 	switch j.state {

@@ -59,12 +59,6 @@ type FastPathSnapshot struct {
 	QuiescentSkips uint64 `json:"quiescent_skips"`
 	SteadyReuses   uint64 `json:"steady_reuses"`
 	Rebuilds       uint64 `json:"rebuilds"`
-	// StrideSkips counts whole engine ticks elided by event-driven
-	// stepping (every framework provably idle, pipeline replayed in a
-	// stride); HorizonRecomputes counts how often a stride horizon was
-	// computed.
-	StrideSkips       uint64 `json:"stride_skips"`
-	HorizonRecomputes uint64 `json:"horizon_recomputes"`
 	// ShardSkips counts whole shards skipped by the sharded tick path —
 	// one per tick per shard whose every server sat in the inactive set.
 	// Always encoded (no omitempty): /debug/fastpaths consumers pin the
@@ -84,8 +78,6 @@ func (s *FastPathSnapshot) Add(o FastPathSnapshot) {
 	s.QuiescentSkips += o.QuiescentSkips
 	s.SteadyReuses += o.SteadyReuses
 	s.Rebuilds += o.Rebuilds
-	s.StrideSkips += o.StrideSkips
-	s.HorizonRecomputes += o.HorizonRecomputes
 	s.ShardSkips += o.ShardSkips
 	s.CPUMemoHits += o.CPUMemoHits
 	s.CPUMemoMisses += o.CPUMemoMisses
@@ -103,8 +95,6 @@ func (s *FastPathSnapshot) Sub(o FastPathSnapshot) {
 	s.QuiescentSkips -= o.QuiescentSkips
 	s.SteadyReuses -= o.SteadyReuses
 	s.Rebuilds -= o.Rebuilds
-	s.StrideSkips -= o.StrideSkips
-	s.HorizonRecomputes -= o.HorizonRecomputes
 	s.ShardSkips -= o.ShardSkips
 	s.CPUMemoHits -= o.CPUMemoHits
 	s.CPUMemoMisses -= o.CPUMemoMisses

@@ -8,14 +8,13 @@ import (
 )
 
 // This file is the fleet-scale time-series layer (DESIGN.md §5.8). Two
-// scale pressures shape it. Event-driven striding (PR 6) means wall
-// ticks are not a clock: consecutive samples can be minutes of simulated
-// time apart, so every point carries its exact simulation timestamp —
-// producers stamp points with the stride-aware time (Clock.PeekSeconds /
-// trace TimeSec), never a tick count. Fleet sharding (PR 7) means
-// per-server series are untenable at 10k servers; the Rollup folds
-// per-server observations into the topology hierarchy (shard, zone,
-// cluster) so retained cardinality is O(zones + shards), not O(servers).
+// pressures shape it. Producers sample at their own cadence, so
+// consecutive samples can be minutes of simulated time apart: every
+// point carries its exact simulation timestamp (Clock.Seconds or trace
+// TimeSec), never a tick count. Fleet sharding means per-server series
+// are untenable at 10k servers; the Rollup folds per-server observations
+// into the topology hierarchy (shard, zone, cluster) so retained
+// cardinality is O(zones + shards), not O(servers).
 // Like every obs instrument, all types are nil-safe no-ops so telemetry
 // can be compiled out of a run by simply not wiring a registry.
 
@@ -133,7 +132,7 @@ func (s *Series) Points() []SeriesPoint {
 // Since returns the retained points with T strictly after t, oldest
 // first — the delta-scrape primitive: a scraper remembers the last
 // timestamp it saw and asks only for what is newer. Timestamps are
-// simulation time, so the contract survives stride elision unchanged.
+// simulation time.
 func (s *Series) Since(t float64) []SeriesPoint {
 	pts := s.Points()
 	// Points are time-ordered; binary-search the first one after t.

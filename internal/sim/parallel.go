@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "runtime"
 
 // Workers resolves a worker-count setting: n > 0 is taken literally, any
 // other value selects GOMAXPROCS. Callers that want a hard sequential mode
@@ -14,66 +10,4 @@ func Workers(n int) int {
 		return n
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// ForEachParallel invokes fn(i) for every i in [0, n) using a bounded pool
-// of at most workers goroutines. With workers <= 1 (or n <= 1) it runs
-// inline on the caller's goroutine — the deterministic sequential mode the
-// regression tests compare against.
-//
-// The iteration indices are handed out through an atomic counter, so the
-// assignment of indices to goroutines (and their completion order) is
-// nondeterministic; callers must make fn(i) independent of fn(j) for i != j
-// and must write results only to index-i-owned locations. Under that
-// contract results are bit-for-bit identical to the sequential mode.
-//
-// A panic inside fn stops further work from being scheduled and is
-// re-raised on the caller's goroutine once all in-flight work has drained,
-// matching the sequential failure behaviour experiments rely on.
-func ForEachParallel(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var (
-		next     atomic.Int64
-		stop     atomic.Bool
-		wg       sync.WaitGroup
-		panicMu  sync.Mutex
-		panicked any
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				i := int(next.Add(1) - 1)
-				if i >= n {
-					return
-				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							stop.Store(true)
-							panicMu.Lock()
-							if panicked == nil {
-								panicked = r
-							}
-							panicMu.Unlock()
-						}
-					}()
-					fn(i)
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
 }

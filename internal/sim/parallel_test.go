@@ -2,7 +2,6 @@ package sim
 
 import (
 	"runtime"
-	"sync/atomic"
 	"testing"
 )
 
@@ -15,44 +14,5 @@ func TestWorkers(t *testing.T) {
 	}
 	if got := Workers(-5); got != runtime.GOMAXPROCS(0) {
 		t.Errorf("Workers(-5) = %d, want GOMAXPROCS", got)
-	}
-}
-
-func TestForEachParallelCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{1, 2, 4, 100} {
-		const n = 57
-		var hits [n]atomic.Int64
-		ForEachParallel(n, workers, func(i int) { hits[i].Add(1) })
-		for i := range hits {
-			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("workers=%d: index %d visited %d times", workers, i, got)
-			}
-		}
-	}
-}
-
-func TestForEachParallelZeroAndOne(t *testing.T) {
-	ForEachParallel(0, 4, func(int) { t.Error("fn called for n=0") })
-	calls := 0
-	ForEachParallel(1, 4, func(i int) { calls++ })
-	if calls != 1 {
-		t.Errorf("n=1 calls = %d", calls)
-	}
-}
-
-func TestForEachParallelPropagatesPanic(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		func() {
-			defer func() {
-				if r := recover(); r != "boom" {
-					t.Errorf("workers=%d: recovered %v, want boom", workers, r)
-				}
-			}()
-			ForEachParallel(16, workers, func(i int) {
-				if i == 7 {
-					panic("boom")
-				}
-			})
-		}()
 	}
 }

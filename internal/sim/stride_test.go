@@ -5,9 +5,9 @@ import (
 	"time"
 )
 
-// TestPeekSecondsMatchesSeconds pins the contract striders rely on for
-// bit-identical timestamps: PeekSeconds(k) evaluated now must equal what
-// Seconds() returns once the clock actually reaches that tick.
+// TestPeekSecondsMatchesSeconds pins PeekSeconds to the clock: PeekSeconds(k)
+// evaluated now must equal what Seconds() returns once the clock actually
+// reaches that tick.
 func TestPeekSecondsMatchesSeconds(t *testing.T) {
 	e := NewEngine(100*time.Millisecond, 1)
 	c := e.Clock()
@@ -24,10 +24,10 @@ func TestPeekSecondsMatchesSeconds(t *testing.T) {
 	}
 }
 
-// TestTicksBeforeBoundaries exercises the edge cases that matter when a
-// stride must stop short of a scheduled event: a target landing exactly
-// on a tick's timestamp (that tick must run, not be elided), targets at
-// or behind the current tick, and the max cap.
+// TestTicksBeforeBoundaries exercises the edge cases of counting the ticks
+// before a scheduled event: a target landing exactly on a tick's
+// timestamp (that tick is not counted), targets at or behind the current
+// tick, and the max cap.
 func TestTicksBeforeBoundaries(t *testing.T) {
 	e := NewEngine(100*time.Millisecond, 1)
 	c := e.Clock()
@@ -60,7 +60,7 @@ func TestTicksBeforeBoundaries(t *testing.T) {
 	// Cross-check against the definition on a moving clock: the count is
 	// exactly the number of upcoming ticks with PeekSeconds < target.
 	// Sweeping a fine-grained target past coarse tick boundaries covers
-	// the monitor-interval and epoch-boundary alignments drivers feed in.
+	// monitor-interval and epoch-boundary alignments.
 	for step := 0; step < 25; step++ {
 		for _, target := range []float64{0.05, 0.1, 0.95, 1.0, 1.05, 2.5, 3.0001} {
 			want := int64(0)
@@ -85,12 +85,9 @@ func (s *countStrider) Stride(clk *Clock, max int64) int64 {
 	return max
 }
 
-// TestStepperBoundedStrideStopsAtEvent is the driver pattern for
-// time-scheduled events (monitor intervals, job arrivals): the bound
-// callback caps the stride with TicksBefore so the tick carrying the
-// event is executed by the engine, never elided — the clock lands on the
-// same tick a per-tick loop would stop at, even with a maximally greedy
-// strider.
+// TestStepperBoundedStrideStopsAtEvent: a bound from TicksBefore stops a
+// maximally greedy strider short of the event tick, so the engine
+// executes it — the clock lands on the tick a per-tick loop stops at.
 func TestStepperBoundedStrideStopsAtEvent(t *testing.T) {
 	const eventSec = 37.0
 
@@ -109,7 +106,7 @@ func TestStepperBoundedStrideStopsAtEvent(t *testing.T) {
 }
 
 // TestStepperNilStriderIsPerTick: with no strider every Step advances
-// exactly one tick — the reference behavior stride mode is compared to.
+// exactly one tick.
 func TestStepperNilStriderIsPerTick(t *testing.T) {
 	e := NewEngine(time.Second, 1)
 	st := &Stepper{Eng: e}

@@ -225,23 +225,6 @@ func (d *Driver) Tick(c *sim.Clock) {
 	}
 }
 
-// StrideQuiet reports whether the driver's next Tick is provably a no-op
-// beyond the executor clock sync: every app is finished or mid-stage with
-// a quiet, not-yet-done task set. A queued app or a completed stage means
-// the next Tick advances the stage machine, so the event-driven stepper
-// must run it (DESIGN.md §5.6).
-func (d *Driver) StrideQuiet() bool {
-	for _, a := range d.apps {
-		if a.Done() {
-			continue
-		}
-		if a.state == StateQueued || a.stage.Done() || !a.stage.StrideQuiet(d.pool) {
-			return false
-		}
-	}
-	return true
-}
-
 // advance runs one scheduling round of an app's stage machine.
 func (d *Driver) advance(a *App, now float64) {
 	if a.Done() {

@@ -256,24 +256,6 @@ func (d *Dolly) Watch(name string, clones ...Clone) *CloneGroup {
 // Groups returns all watched groups.
 func (d *Dolly) Groups() []*CloneGroup { return append([]*CloneGroup(nil), d.groups...) }
 
-// StrideQuiet reports whether the watcher's next Tick is provably a
-// no-op: every race is already settled or has no completed clone yet.
-// Clones complete only on engine ticks (their framework's harvest), so
-// the answer stays valid across a stride (DESIGN.md §5.6).
-func (d *Dolly) StrideQuiet() bool {
-	for _, g := range d.groups {
-		if g.winner != nil {
-			continue
-		}
-		for _, cl := range g.clones {
-			if cl.Completed() {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Tick implements sim.Tickable.
 func (d *Dolly) Tick(c *sim.Clock) {
 	now := c.Seconds()
