@@ -32,7 +32,9 @@ type TestbedConfig struct {
 	Servers          int           // 0 = 1
 	WorkersPerServer int           // 0 = 6
 	SlotsPerWorker   int           // 0 = 2
-	Speculator       exec.Speculator
+	// Speculator belongs to this testbed alone: speculators keep per-call
+	// scratch, so concurrent testbeds must not share one.
+	Speculator exec.Speculator
 	// PerfCloud deploys the node managers when non-nil.
 	PerfCloud *core.Config
 	// ServerConfig overrides the per-server resource models.

@@ -157,7 +157,7 @@ func SharedPool() *SlotPool { return sharedPool }
 // sequential mode.
 //
 // A panic in fn stops further scheduling and is re-raised on the
-// caller's goroutine after in-flight work drains, as a *IterationPanic
+// caller's goroutine after in-flight work drains, as an *IterationPanic
 // carrying the iteration index and the stack of the goroutine that
 // panicked — on a worker goroutine that stack is otherwise lost.
 func ForEachShared(n, want int, fn func(i int)) {
