@@ -5,9 +5,11 @@
 //
 // Usage:
 //
-//	perfbench [-fig all|1|2|3|4|5|6|7|9|10|11|12] [-seed N] [-quick] [-csv] [-parallel N]
-//	          [-suite] [-suitejson FILE] [-cpuprofile FILE] [-memprofile FILE] [-fastpaths]
-//	          [-tracedir DIR] [-shards N] [-scorecard] [-alerts] [-health]
+//	perfbench [-fig all|1|2|3|4|5|6|7|9|10|11|12|ablations|extensions] [-seed N] [-quick]
+//	          [-csv] [-parallel N] [-suite] [-suitejson FILE] [-cpuprofile FILE]
+//	          [-memprofile FILE] [-fastpaths] [-tracedir DIR] [-scorecard] [-alerts] [-health]
+//
+// Any other -fig value is rejected with exit status 2.
 //
 // -alerts installs the default alert rule pack for every PerfCloud run
 // (sustained victim deviation, cap dwell, false-cap watchdog, monitor
@@ -56,6 +58,8 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"time"
 
 	"perfcloud/internal/benchfmt"
@@ -66,6 +70,9 @@ import (
 	"perfcloud/internal/stats"
 	"perfcloud/internal/trace"
 )
+
+// figs lists every valid -fig value.
+var figs = []string{"all", "1", "2", "3", "4", "5", "6", "7", "9", "10", "11", "12", "ablations", "extensions"}
 
 func main() {
 	// Benchmark-harness GC tuning: the experiment suite allocates in
@@ -90,12 +97,14 @@ func main() {
 	fastpaths := flag.Bool("fastpaths", false, "print the simulation's cumulative fast-path hit-rate counters after the run")
 	scorecard := flag.Bool("scorecard", false, "grade each scheme's cap decisions against ground truth and print detection scorecards (Figs 11, 12, control ablation)")
 	tracedir := flag.String("tracedir", "", "directory to write per-repetition Perfetto traces (Figs 11, 12)")
-	shards := flag.Int("shards", 0, "cluster tick shards: 0 auto, n forced, -1 flat pre-shard path")
 	alerts := flag.Bool("alerts", false, "evaluate the default alert rules during PerfCloud runs and append alert tables (Figs 11, 12)")
 	health := flag.Bool("health", false, "profile the engine itself (sampled phase timers, pool contention, runtime stats) and print the report")
 	flag.Parse()
+	if !slices.Contains(figs, *fig) {
+		fmt.Fprintf(os.Stderr, "perfbench: unknown -fig %q; valid values: %s\n", *fig, strings.Join(figs, ", "))
+		os.Exit(2)
+	}
 	cluster.SetDefaultTickWorkers(*parallel)
-	cluster.SetDefaultShards(*shards)
 	experiments.SetMaxParallelRuns(*parallel)
 	if *fastpaths {
 		experiments.SetTrackFastPaths(true)

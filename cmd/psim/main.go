@@ -8,7 +8,7 @@
 //	psim [-servers N] [-workers N] [-scheme default|late|dolly-2|dolly-4|perfcloud]
 //	     [-workload terasort|wordcount|inverted-index|spark-logreg|spark-pagerank|spark-svm]
 //	     [-jobs N] [-fio N] [-streams N] [-seed N] [-v]
-//	     [-shards N] [-trace FILE] [-phase-report] [-phase-csv] [-scorecard]
+//	     [-trace FILE] [-phase-report] [-phase-csv] [-scorecard]
 //
 // -trace writes a Chrome-trace-event/Perfetto JSON timeline of every
 // task attempt (open it at https://ui.perfetto.dev or chrome://tracing);
@@ -24,7 +24,6 @@ import (
 	"os"
 	"time"
 
-	"perfcloud/internal/cluster"
 	"perfcloud/internal/core"
 	"perfcloud/internal/experiments"
 	"perfcloud/internal/mapreduce"
@@ -45,7 +44,6 @@ func main() {
 	nstream := flag.Int("streams", 1, "STREAM antagonist VMs")
 	seed := flag.Int64("seed", 42, "random seed")
 	verbose := flag.Bool("v", false, "print every control interval")
-	shards := flag.Int("shards", 0, "cluster tick shards: 0 auto, n forced, -1 flat pre-shard path")
 	traceFile := flag.String("trace", "", "write a Perfetto/chrome-trace JSON timeline to this file")
 	phaseReport := flag.Bool("phase-report", false, "print per-job phase attribution and critical path")
 	phaseCSV := flag.Bool("phase-csv", false, "emit the phase tables as CSV instead of text")
@@ -57,7 +55,10 @@ func main() {
 		*alerts = true
 	}
 
-	cluster.SetDefaultShards(*shards)
+	if *servers < 1 {
+		fmt.Fprintf(os.Stderr, "psim: -servers must be at least 1, got %d\n", *servers)
+		os.Exit(2)
+	}
 
 	cfg := experiments.TestbedConfig{
 		Seed:             *seed,

@@ -22,7 +22,6 @@
 //	-servers N   fleet size            (default 10000)
 //	-vms N       total VMs to host     (default 1000000)
 //	-hot N       busy Hadoop servers   (default 16)
-//	-shards N    0 auto, -1 flat path  (default 0; -1 shows the contrast)
 //	-jobs N      terasort jobs to run  (default 2)
 package main
 
@@ -44,12 +43,10 @@ func main() {
 	servers := flag.Int("servers", 10000, "total servers in the fleet")
 	vms := flag.Int("vms", 1000000, "total VMs hosted across the fleet")
 	hot := flag.Int("hot", 16, "servers running the Hadoop workers")
-	shards := flag.Int("shards", 0, "cluster tick shards: 0 auto, n forced, -1 flat pre-shard path")
 	jobs := flag.Int("jobs", 2, "terasort jobs to run on the hot region")
 	seed := flag.Int64("seed", 42, "random seed")
 	parallel := flag.Int("parallel", 0, "tick worker bound (0 = GOMAXPROCS, 1 = sequential)")
 	flag.Parse()
-	cluster.SetDefaultShards(*shards)
 	cluster.SetDefaultTickWorkers(*parallel)
 
 	// The hot region: a normal testbed — Hadoop worker VMs, DFS, job

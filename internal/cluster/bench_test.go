@@ -5,9 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"perfcloud/internal/cpu"
-	"perfcloud/internal/disk"
-	"perfcloud/internal/memsys"
 	"perfcloud/internal/sim"
 )
 
@@ -63,35 +60,19 @@ func activeCluster(eng *sim.Engine) *Cluster {
 	return cl
 }
 
-// setAllFastPaths flips demand reuse and all three allocator memos at
-// once, returning a restore function.
-func setAllFastPaths(enabled bool) func() {
-	prevReuse := SetDefaultDemandReuse(enabled)
-	prevCPU := cpu.SetDefaultMemoize(enabled)
-	prevMem := memsys.SetDefaultMemoize(enabled)
-	prevDisk := disk.SetDefaultMemoize(enabled)
-	return func() {
-		SetDefaultDemandReuse(prevReuse)
-		cpu.SetDefaultMemoize(prevCPU)
-		memsys.SetDefaultMemoize(prevMem)
-		disk.SetDefaultMemoize(prevDisk)
-	}
-}
-
 // BenchmarkActiveServerTick measures the steady-state cost of ticking
-// busy servers with the demand-epoch reuse and allocator memos on (the
-// shipped configuration). Compare against BenchmarkActiveServerTickNoReuse
-// for the win.
+// busy servers: demand-epoch reuse serves every tick and the fused steady
+// path replays the allocator memos in place.
 func BenchmarkActiveServerTick(b *testing.B) {
-	defer setAllFastPaths(true)()
-	benchActiveTick(b)
+	benchActiveTick(b, false)
 }
 
-// BenchmarkActiveServerTickNoReuse is the same workload with every
-// steady-state fast path disabled — the pre-optimization pipeline.
-func BenchmarkActiveServerTickNoReuse(b *testing.B) {
-	defer setAllFastPaths(false)()
-	benchActiveTick(b)
+// BenchmarkActiveServerTickDirty is the same workload with every server
+// marked dirty before each tick, as the reference runs in the tests do:
+// each tick rebuilds the demand and request vectors. Its ratio to
+// BenchmarkActiveServerTick is the price demand reuse saves.
+func BenchmarkActiveServerTickDirty(b *testing.B) {
+	benchActiveTick(b, true)
 }
 
 // BenchmarkShardScale pins the sharded tick path's O(active + shards)
@@ -102,13 +83,11 @@ func BenchmarkActiveServerTickNoReuse(b *testing.B) {
 // ratio `make bench-scale` gates on. A flat O(total) tick would scale
 // the cost 10x.
 func BenchmarkShardScale(b *testing.B) {
-	defer setAllFastPaths(true)()
 	for _, total := range []int{1024, 10240} {
 		b.Run(fmt.Sprintf("servers=%d", total), func(b *testing.B) {
 			eng := sim.NewEngine(100*time.Millisecond, 3)
 			cl := New()
 			cl.SetTickWorkers(1) // isolate the per-tick cost from fan-out noise
-			cl.SetShards(0)
 			const busy = 8
 			for s := 0; s < total; s++ {
 				srv := cl.AddServer(fmt.Sprintf("s%05d", s), DefaultServerConfig(), eng.RNG())
@@ -132,7 +111,7 @@ func BenchmarkShardScale(b *testing.B) {
 	}
 }
 
-func benchActiveTick(b *testing.B) {
+func benchActiveTick(b *testing.B, dirty bool) {
 	eng := sim.NewEngine(100*time.Millisecond, 3)
 	cl := activeCluster(eng)
 	clk := eng.Clock()
@@ -140,6 +119,9 @@ func benchActiveTick(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if dirty {
+			cl.EachServer((*Server).MarkDirty)
+		}
 		cl.Tick(clk)
 	}
 }

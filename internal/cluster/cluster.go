@@ -24,6 +24,7 @@ package cluster
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"perfcloud/internal/cgroup"
@@ -233,14 +234,14 @@ type Server struct {
 	vms   []*VM
 
 	// clus and index tie the server back to its cluster and its stable
-	// position in the creation-order server slice; the sharded tick path
-	// keys its active bitset and shard ranges on index.
+	// position in the creation-order server slice; the tick keys its
+	// active bitset and shard ranges on index.
 	clus  *Cluster
 	index int
 
 	// active records membership in the cluster's active set. Inactive
 	// servers are provably quiescent and are not visited at all by the
-	// sharded tick path — the O(active) contract of DESIGN.md §5.7.
+	// tick — the O(active) contract of DESIGN.md §5.7.
 	// wakePending marks servers already queued for reactivation so a
 	// burst of dirtying events enqueues them once.
 	active      bool
@@ -263,16 +264,15 @@ type Server struct {
 
 	// quiescent records that the last fully processed tick found every VM
 	// idle, meaning the grant phase granted nothing and left no trace
-	// beyond the disk's idle jitter draws (see DESIGN.md §5.2). While it
-	// holds and no dirtying event intervenes, the grant phase may be
-	// skipped outright; catchUp replays the elided jitter draws before
-	// the next full tick, keeping results bit-for-bit identical. Any
-	// mutation that could change a tick's outcome (workload attach,
-	// placement change, cap change) clears it via MarkDirty, forcing one
-	// full re-evaluation.
+	// beyond the disk's idle jitter draws (see DESIGN.md §5.2). The tick
+	// then parks the server outside the active set until a dirtying event
+	// wakes it; catchUp replays the elided jitter draws before the next
+	// full tick, keeping results bit-for-bit identical. Any mutation that
+	// could change a tick's outcome (workload attach, placement change,
+	// cap change) clears it via MarkDirty, forcing one full re-evaluation.
 	quiescent bool
 
-	// skipped counts grant-phase ticks elided while quiescent; skipIDs
+	// skipped counts grant-phase ticks elided while parked; skipIDs
 	// snapshots the VM ids present during those ticks (placement changes
 	// dirty the server, so the set is constant across a skipped stretch
 	// even if it changes before the server next processes a full tick).
@@ -365,7 +365,7 @@ func (s *Server) FastPathStats() obs.FastPathSnapshot {
 	fp := s.fastPathRaw()
 	// An inactive server has pending elided ticks that its own counters
 	// will only record on wake; fold them in so between-tick observers see
-	// the same totals the flat per-tick accounting would report.
+	// the same totals as if every elided tick had been counted as it passed.
 	if !s.active && s.clus != nil {
 		fp.QuiescentSkips += s.clus.ticks - s.skipFrom
 	}
@@ -395,9 +395,9 @@ func (s *Server) bumpEpoch() {
 }
 
 // activate queues an inactive server for reactivation at the start of
-// the next sharded tick. Dirtying events arrive from sequential phases
-// only (framework ticks, workload Advance, controller actuation, test
-// setup) — never from the parallel grant fan-out — so the queue needs no
+// the next tick. Dirtying events arrive from sequential phases only
+// (framework ticks, workload Advance, controller actuation, test setup)
+// — never from the parallel grant fan-out — so the queue needs no
 // synchronization. Draining at the tick boundary keeps mid-sweep wakes
 // from mutating the active bitset while it is being iterated.
 func (s *Server) activate() {
@@ -455,21 +455,12 @@ func (s *Server) FindVM(id string) *VM {
 // grant phase of different servers concurrently. Workload.Advance — which
 // may mutate state shared across servers, such as a framework's task set —
 // is deferred to advancePhase.
-func (s *Server) grantPhase(tickSec float64, quiesce, reuse bool) {
+func (s *Server) grantPhase(tickSec float64) {
 	n := len(s.vms)
 	if n == 0 {
 		// A server with no VMs is trivially quiescent: the pipeline has
-		// nothing to do and no draws to replay. Mark it so the sharded
-		// tick path can deactivate it, and account elided ticks the same
-		// way populated quiescent servers do (with an empty replay set).
-		if s.quiescent && quiesce {
-			if s.skipped == 0 {
-				s.skipIDs = s.skipIDs[:0]
-			}
-			s.skipped++
-			s.statSkipped++
-			return
-		}
+		// nothing to do and no draws to replay. Mark it so the tick parks
+		// it like any other idle server.
 		s.catchUp()
 		s.quiescent = true
 		return
@@ -485,7 +476,7 @@ func (s *Server) grantPhase(tickSec float64, quiesce, reuse bool) {
 	// (Done is covered by the demand-epoch contract), so the idle scan and
 	// the quiescent check are skipped: the server was non-idle at arm time
 	// and still is.
-	if reuse && s.fused && s.steadyUsable(tickSec, n) &&
+	if s.fused && s.steadyUsable(tickSec, n) &&
 		s.cpu.SteadyReady(tickSec) && s.mem.SteadyReady(tickSec) && s.disk.SteadyReady(tickSec) {
 		s.statSteady++
 		s.cpu.ReplaySteady()
@@ -504,16 +495,14 @@ func (s *Server) grantPhase(tickSec float64, quiesce, reuse bool) {
 		return
 	}
 	s.fused = false
-	// Quiescence fast path: when every VM is idle the full pipeline below
-	// grants nothing — zero demands produce zero grants and cgroup
-	// counters accumulate zeros. Its only lasting effect is the disk's
-	// per-client idle jitter draws, which catchUp can replay later. The
-	// first idle tick still runs the pipeline (it zeroes lastGrant and
-	// settles the models' keep/GC state); every subsequent idle tick is
-	// skipped until a workload wakes up or MarkDirty reports an external
-	// change. Skipping is bit-for-bit invisible: enabling or disabling it
-	// cannot change any simulation output (see DESIGN.md §5.2 and
-	// TestQuiescenceMatchesFullPipeline).
+	// Quiescence: when every VM is idle the full pipeline below grants
+	// nothing — zero demands produce zero grants and cgroup counters
+	// accumulate zeros. Its only lasting effect is the disk's per-client
+	// idle jitter draws, which catchUp can replay later. The first idle
+	// tick still runs the pipeline (it zeroes lastGrant and settles the
+	// models' keep/GC state) and marks the server quiescent; the tick then
+	// parks it until a workload wakes up or MarkDirty reports an external
+	// change, and a parked server's grant phase never runs at all.
 	idle := true
 	if cap(s.idleFlags) < n {
 		s.idleFlags = make([]bool, n)
@@ -526,17 +515,6 @@ func (s *Server) grantPhase(tickSec float64, quiesce, reuse bool) {
 			idle = false
 		}
 	}
-	if idle && s.quiescent && quiesce {
-		if s.skipped == 0 {
-			s.skipIDs = s.skipIDs[:0]
-			for _, v := range s.vms {
-				s.skipIDs = append(s.skipIDs, v.id)
-			}
-		}
-		s.skipped++
-		s.statSkipped++
-		return
-	}
 	s.catchUp()
 
 	// Steady-state reuse: when every VM's demand epoch (and throttle, and
@@ -546,9 +524,9 @@ func (s *Server) grantPhase(tickSec float64, quiesce, reuse bool) {
 	// The allocators still run — the disk draws fresh queueing-delay
 	// jitter every tick — but on identical inputs the CPU and memory
 	// allocators return their cached grants and the disk reuses its solved
-	// shares. Like quiescence, reuse is bit-for-bit invisible (see
-	// TestMemoizationMatchesFullPipeline).
-	steady := reuse && s.steadyUsable(tickSec, n)
+	// shares. Like parking, reuse is bit-for-bit invisible (see
+	// TestDemandReuseMatchesFullRebuild).
+	steady := s.steadyUsable(tickSec, n)
 	if steady {
 		s.statSteady++
 	} else {
@@ -624,7 +602,7 @@ func (s *Server) grantPhase(tickSec float64, quiesce, reuse bool) {
 			s.memResults[i].LLCRefs, s.memResults[i].LLCMisses)
 	}
 
-	// A fully processed all-idle tick proves the next one is skippable.
+	// A fully processed all-idle tick lets the tick park the server.
 	s.quiescent = idle
 	// After a rebuild, snapshot each VM's demand epoch to arm reuse for
 	// the next tick; a reused tick leaves the snapshot untouched (it
@@ -735,10 +713,9 @@ type Cluster struct {
 	// 1 forces the sequential mode, 0 defers to the package default.
 	workers int
 
-	// ticks counts Tick invocations on the sharded path. It is the time
-	// base for O(1) skipped-tick accounting: a server deactivated at tick
-	// k and woken while the counter reads w missed exactly w-1-k grant
-	// phases.
+	// ticks counts Tick invocations. It is the time base for O(1)
+	// skipped-tick accounting: a server deactivated at tick k and woken
+	// while the counter reads w missed exactly w-1-k grant phases.
 	ticks uint64
 
 	// Sharded-tick state (DESIGN.md §5.7): the shard partition over the
@@ -751,22 +728,12 @@ type Cluster struct {
 	inactive    int
 	liveShards  []int // per-tick scratch: indices of shards with active servers
 	partServers int   // len(servers) at the last partition build
-	partSetting int   // shard setting at the last partition build
 	shardBase   int   // partition arithmetic: base shard size ...
 	shardRem    int   // ... and how many leading shards hold one extra
 
-	// shardsVal/shardsSet are the per-cluster shard-count override:
-	// unset defers to the package default (see SetDefaultShards).
-	shardsVal int
-	shardsSet bool
-
-	// quiesce selects the quiescence fast path for this cluster:
-	// 0 defers to the package default, 1 forces it on, 2 forces it off.
-	quiesce int8
-
-	// reuse selects the steady-state demand-reuse fast path, with the
-	// same encoding as quiesce.
-	reuse int8
+	// shardCount forces the number of shards; 0, the only value outside
+	// tests, partitions automatically. Set it before the first tick.
+	shardCount int
 
 	// statShardSkips counts shards skipped wholesale — per tick, per
 	// shard whose every server was inactive.
@@ -797,37 +764,6 @@ func SetDefaultTickWorkers(n int) int {
 	return int(defaultTickWorkers.Swap(int64(n)))
 }
 
-// defaultQuiescenceOff disables the quiescence fast path package-wide
-// when set; the zero value (enabled) is the normal operating mode. It is
-// atomic so tests can flip modes without racing live clusters.
-var defaultQuiescenceOff atomic.Bool
-
-// SetDefaultQuiescence toggles the package-wide default for the
-// quiescence fast path (skipping the grant phase of servers whose VMs
-// are all idle) and returns the previous setting. The fast path is
-// enabled by default; both settings produce bit-for-bit identical
-// simulations — the toggle exists so tests can prove exactly that.
-// Per-cluster SetQuiescence overrides it.
-func SetDefaultQuiescence(enabled bool) bool {
-	return !defaultQuiescenceOff.Swap(!enabled)
-}
-
-// defaultDemandReuseOff disables the steady-state demand-reuse fast path
-// package-wide when set; the zero value (enabled) is the normal
-// operating mode. It is atomic so tests can flip modes without racing
-// live clusters.
-var defaultDemandReuseOff atomic.Bool
-
-// SetDefaultDemandReuse toggles the package-wide default for the
-// steady-state demand-reuse fast path (reusing a server's demand and
-// request vectors while no VM's demand epoch moved) and returns the
-// previous setting. The fast path is enabled by default; both settings
-// produce bit-for-bit identical simulations — the toggle exists so tests
-// can prove exactly that. Per-cluster SetDemandReuse overrides it.
-func SetDefaultDemandReuse(enabled bool) bool {
-	return !defaultDemandReuseOff.Swap(!enabled)
-}
-
 // New creates an empty cluster.
 func New() *Cluster {
 	return &Cluster{
@@ -854,50 +790,6 @@ func (c *Cluster) TickWorkers() int {
 		w = int(defaultTickWorkers.Load())
 	}
 	return sim.Workers(w)
-}
-
-// SetQuiescence overrides the package-wide quiescence default for this
-// cluster (see SetDefaultQuiescence).
-func (c *Cluster) SetQuiescence(enabled bool) {
-	if enabled {
-		c.quiesce = 1
-	} else {
-		c.quiesce = 2
-	}
-}
-
-// QuiescenceEnabled returns the effective quiescence setting for this
-// cluster's tick.
-func (c *Cluster) QuiescenceEnabled() bool {
-	switch c.quiesce {
-	case 1:
-		return true
-	case 2:
-		return false
-	}
-	return !defaultQuiescenceOff.Load()
-}
-
-// SetDemandReuse overrides the package-wide demand-reuse default for
-// this cluster (see SetDefaultDemandReuse).
-func (c *Cluster) SetDemandReuse(enabled bool) {
-	if enabled {
-		c.reuse = 1
-	} else {
-		c.reuse = 2
-	}
-}
-
-// DemandReuseEnabled returns the effective demand-reuse setting for this
-// cluster's tick.
-func (c *Cluster) DemandReuseEnabled() bool {
-	switch c.reuse {
-	case 1:
-		return true
-	case 2:
-		return false
-	}
-	return !defaultDemandReuseOff.Load()
 }
 
 // SetHealth attaches an engine self-profiling layer: sampled wall-clock
@@ -1060,8 +952,7 @@ func (c *Cluster) NumServers() int { return len(c.servers) }
 func (c *Cluster) NumVMs() int { return len(c.vmsByID) }
 
 // ActiveServers returns how many servers are currently in the active set
-// (visited by the sharded tick path). With sharding disabled every server
-// counts as active.
+// (visited by the tick).
 func (c *Cluster) ActiveServers() int { return len(c.servers) - c.inactive }
 
 // FindServer returns the server with the given id, or nil.
@@ -1120,35 +1011,48 @@ func (c *Cluster) EachAppVM(appID string, fn func(*VM)) {
 // one task run on several machines). Drawing from the shared pool keeps
 // nested fan-outs — concurrent experiment repetitions each ticking their
 // own cluster — from oversubscribing GOMAXPROCS.
+//
+// Only active servers are visited, so a tick costs O(active servers +
+// shards) (DESIGN.md §5.7). The grant fan-out is two-level: shards with
+// any active server fan out across the shared slot pool, and each shard
+// fans its own active servers out again — so a one-shard cluster keeps
+// per-server parallelism, and a 10k-server cluster with three busy shards
+// parallelizes across and within them. The advance sweep then walks the
+// active servers in creation order and parks freshly quiescent ones.
 func (c *Cluster) Tick(clk *sim.Clock) {
 	tickSec := clk.TickSeconds()
-	quiesce := c.QuiescenceEnabled()
-	reuse := c.DemandReuseEnabled()
-	if c.ShardSetting() < 0 {
-		c.flatTick(tickSec, quiesce, reuse)
-		return
+	c.ticks++
+	c.ensureShards()
+	c.drainWakes()
+	c.liveShards = c.liveShards[:0]
+	for w, word := range c.shardBits {
+		base := w << 6
+		for word != 0 {
+			c.liveShards = append(c.liveShards, base+bits.TrailingZeros64(word))
+			word &= word - 1
+		}
 	}
-	c.shardedTick(tickSec, quiesce, reuse)
-}
-
-// flatTick is the pre-shard tick path: every server is visited every
-// tick. Kept verbatim behind SetDefaultShards(-1)/SetShards(-1) so the
-// equivalence tests can compare the sharded path against it.
-func (c *Cluster) flatTick(tickSec float64, quiesce, reuse bool) {
-	if c.inactive > 0 {
-		// Sharding was just disabled with servers still parked in the
-		// inactive set; settle their pending elided ticks so the flat
-		// sweep below sees ordinary quiescent servers.
-		c.wakeAll(c.ticks)
-	}
+	c.statShardSkips += uint64(len(c.shards) - len(c.liveShards))
+	workers := c.TickWorkers()
+	live := c.liveShards
 	tg := c.tGrant.Begin()
-	sim.ForEachShared(len(c.servers), c.TickWorkers(), func(i int) {
-		c.servers[i].grantPhase(tickSec, quiesce, reuse)
+	sim.ForEachShared(len(live), workers, func(k int) {
+		c.grantShard(&c.shards[live[k]], tickSec, workers)
 	})
 	c.tGrant.End(tg)
+	// The advance sweep revisits exactly the servers the grant fan-out
+	// gathered (wakes only queue until the next tick boundary), so it
+	// walks the live shards' scratch lists — ascending shard and server
+	// index, i.e. creation order — instead of rescanning the bitset.
 	ta := c.tAdvance.Begin()
-	for _, s := range c.servers {
-		s.advancePhase(tickSec)
+	for _, si := range live {
+		for _, i := range c.shards[si].scratch {
+			s := c.servers[i]
+			s.advancePhase(tickSec)
+			if s.quiescent {
+				c.deactivate(s)
+			}
+		}
 	}
 	c.tAdvance.End(ta)
 }

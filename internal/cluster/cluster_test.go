@@ -39,6 +39,15 @@ func busyDemand() Demand {
 	}
 }
 
+// dirtyEveryTick turns a run into the reference every fast path is
+// checked against: registered ahead of the cluster, it marks every server
+// dirty before each tick, so the tick runs the full pipeline on every
+// server with nothing parked, no demand vector reused and no steady tick
+// fused.
+func dirtyEveryTick(eng *sim.Engine, c *Cluster) {
+	eng.RegisterPriority(sim.TickFunc(func(*sim.Clock) { c.EachServer((*Server).MarkDirty) }), -1)
+}
+
 func newTestCluster(t *testing.T) (*sim.Engine, *Cluster, *Server) {
 	t.Helper()
 	eng := sim.NewEngine(100*time.Millisecond, 42)

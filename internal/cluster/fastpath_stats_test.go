@@ -8,27 +8,33 @@ import (
 	"perfcloud/internal/sim"
 )
 
+// fastPathFixture builds one busy server (an epoch-reporting workload)
+// and one idle server; with reference set, the run marks every server
+// dirty before every tick.
+func fastPathFixture(reference bool) (eng *sim.Engine, c *Cluster, busy, idle *Server, w *epochWorkload) {
+	eng = sim.NewEngine(100*time.Millisecond, 7)
+	c = New()
+	c.SetTickWorkers(1)
+	busy = c.AddServer("busy", DefaultServerConfig(), eng.RNG())
+	idle = c.AddServer("idle", DefaultServerConfig(), eng.RNG())
+	vm := c.AddVM(busy, "vm-busy", 2, 8<<30, LowPriority, "")
+	c.AddVM(idle, "vm-idle", 2, 8<<30, LowPriority, "")
+	w = &epochWorkload{fakeWorkload: fakeWorkload{name: "vm-busy", demand: busyDemand()}}
+	vm.SetWorkload(w)
+	if reference {
+		dirtyEveryTick(eng, c)
+	}
+	eng.Register(c)
+	return eng, c, busy, idle, w
+}
+
 // TestFastPathStatsAccounting runs one busy and one idle server through
 // a mix of reused, rebuilt and skipped ticks and checks that the
 // counters partition the grant phases the way the fast paths actually
-// ran them.
+// ran them, and that the dirty-every-tick reference rebuilds every one.
 func TestFastPathStatsAccounting(t *testing.T) {
-	setDemandReuse(t, true)
-	prevQ := SetDefaultQuiescence(true)
-	t.Cleanup(func() { SetDefaultQuiescence(prevQ) })
-
-	eng := sim.NewEngine(100*time.Millisecond, 7)
-	c := New()
-	c.SetTickWorkers(1)
-	busy := c.AddServer("busy", DefaultServerConfig(), eng.RNG())
-	idle := c.AddServer("idle", DefaultServerConfig(), eng.RNG())
-	vm := c.AddVM(busy, "vm-busy", 2, 8<<30, LowPriority, "")
-	c.AddVM(idle, "vm-idle", 2, 8<<30, LowPriority, "")
-	w := &epochWorkload{fakeWorkload: fakeWorkload{name: "vm-busy", demand: busyDemand()}}
-	vm.SetWorkload(w)
-	eng.Register(c)
-
 	const ticks = 20
+	eng, c, busy, idle, w := fastPathFixture(false)
 	eng.Run(ticks)
 
 	bfp := busy.FastPathStats()
@@ -68,5 +74,14 @@ func TestFastPathStatsAccounting(t *testing.T) {
 	if bfp2.Rebuilds != bfp.Rebuilds+1 || bfp2.SteadyReuses != bfp.SteadyReuses+1 {
 		t.Fatalf("after epoch bump rebuilds=%d steady=%d, want %d, %d",
 			bfp2.Rebuilds, bfp2.SteadyReuses, bfp.Rebuilds+1, bfp.SteadyReuses+1)
+	}
+
+	// The reference runs the full pipeline on every server every tick.
+	eng, c, _, _, _ = fastPathFixture(true)
+	eng.Run(ticks)
+	ref := c.FastPathStats()
+	if ref.QuiescentSkips != 0 || ref.SteadyReuses != 0 || ref.Rebuilds != 2*ticks {
+		t.Fatalf("reference skips=%d steady=%d rebuilds=%d, want 0, 0, %d",
+			ref.QuiescentSkips, ref.SteadyReuses, ref.Rebuilds, 2*ticks)
 	}
 }

@@ -7,14 +7,12 @@ import (
 	"perfcloud/internal/sim"
 )
 
-// quiesceFixture builds one server with two VMs and forces the
-// quiescence fast path on regardless of the package default.
+// quiesceFixture builds one server with two VMs.
 func quiesceFixture(t *testing.T) (*sim.Engine, *Cluster, *Server, *VM) {
 	t.Helper()
 	eng := sim.NewEngine(100*time.Millisecond, 42)
 	c := New()
 	c.SetTickWorkers(1)
-	c.SetQuiescence(true)
 	eng.Register(c)
 	srv := c.AddServer("server-0", DefaultServerConfig(), eng.RNG())
 	v := c.AddVM(srv, "vm-0", 2, 8<<30, HighPriority, "app")
@@ -109,16 +107,18 @@ func TestMoveVMDirtiesBothServers(t *testing.T) {
 
 // TestQuiescenceToggleBitForBit runs the same bursty scenario — a
 // workload that finishes, a long all-idle stretch, then a second
-// workload waking the server — with the fast path on and off, and
-// demands identical cgroup counters. The idle stretch makes the skip
-// path elide ticks; the wake-up must replay the disk's idle jitter
-// draws so the post-wake grants match exactly.
+// workload waking the server — plainly and as the dirty-every-tick
+// reference, and demands identical cgroup counters. The idle stretch
+// parks the server in the plain run; the wake-up must replay the disk's
+// idle jitter draws so the post-wake grants match exactly.
 func TestQuiescenceToggleBitForBit(t *testing.T) {
-	run := func(enabled bool) (a, b any) {
+	run := func(reference bool) (a, b any) {
 		eng := sim.NewEngine(100*time.Millisecond, 42)
 		c := New()
 		c.SetTickWorkers(1)
-		c.SetQuiescence(enabled)
+		if reference {
+			dirtyEveryTick(eng, c)
+		}
 		eng.Register(c)
 		srv := c.AddServer("server-0", DefaultServerConfig(), eng.RNG())
 		v0 := c.AddVM(srv, "vm-0", 2, 8<<30, HighPriority, "app")
@@ -129,9 +129,9 @@ func TestQuiescenceToggleBitForBit(t *testing.T) {
 		eng.Run(30)
 		return v0.Cgroup().Snapshot(), v1.Cgroup().Snapshot()
 	}
-	a0, a1 := run(false)
-	b0, b1 := run(true)
+	a0, a1 := run(true)
+	b0, b1 := run(false)
 	if a0 != b0 || a1 != b1 {
-		t.Errorf("counters diverge with quiescence on:\noff: %+v / %+v\non:  %+v / %+v", a0, a1, b0, b1)
+		t.Errorf("counters diverge from the reference:\nreference: %+v / %+v\nparked:    %+v / %+v", a0, a1, b0, b1)
 	}
 }

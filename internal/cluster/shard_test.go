@@ -11,13 +11,13 @@ import (
 )
 
 // TestShardPartition checks the partition arithmetic: contiguous ranges
-// covering every server, near-equal sizes, and the setting semantics
+// covering every server, near-equal sizes, and the shard-count semantics
 // (0 auto, n forced, clamped to the server count).
 func TestShardPartition(t *testing.T) {
 	build := func(servers, setting int) *Cluster {
 		eng := sim.NewEngine(100*time.Millisecond, 1)
 		c := New()
-		c.SetShards(setting)
+		c.shardCount = setting
 		for i := 0; i < servers; i++ {
 			c.AddServer(fmt.Sprintf("s%03d", i), DefaultServerConfig(), eng.RNG())
 		}
@@ -69,11 +69,6 @@ func TestShardPartition(t *testing.T) {
 				tc.servers, tc.setting, min, max)
 		}
 	}
-	// Negative disables sharding entirely.
-	c := build(10, -1)
-	if c.ShardingEnabled() || c.ShardCount() != 0 {
-		t.Error("SetShards(-1) must disable sharding")
-	}
 }
 
 // shardScenario drives one cluster through the life cycle the sharded
@@ -81,12 +76,16 @@ func TestShardPartition(t *testing.T) {
 // parked stretch, cross-shard migration off a parked server, wake-ups, a
 // mid-run server addition forcing a repartition, and an always-empty
 // server — and returns every observable output: cgroup counters, last
-// grants, and the fast-path totals (minus the shard-only counter).
-func shardScenario(shardSetting int) (snaps []any, fp obs.FastPathSnapshot) {
+// grants, and the fast-path totals (minus the shard-only counter). With
+// reference set, the run marks every server dirty before every tick.
+func shardScenario(shards int, reference bool) (snaps []any, fp obs.FastPathSnapshot) {
 	eng := sim.NewEngine(100*time.Millisecond, 42)
 	c := New()
 	c.SetTickWorkers(1)
-	c.SetShards(shardSetting)
+	c.shardCount = shards
+	if reference {
+		dirtyEveryTick(eng, c)
+	}
 	eng.Register(c)
 	var vms []*VM
 	for s := 0; s < 10; s++ {
@@ -127,18 +126,20 @@ func shardScenario(shardSetting int) (snaps []any, fp obs.FastPathSnapshot) {
 }
 
 // TestShardedMatchesFlat is the cluster-level bit-for-bit equivalence
-// check: the same scenario under the flat path, one shard, three shards
-// and the automatic partition must produce identical cgroup counters,
-// grants and fast-path totals.
+// check: the same scenario under one shard, three shards, seven shards
+// and the automatic partition must produce the cgroup counters and grants
+// of the flat dirty-every-tick reference, which visits every server every
+// tick, and identical fast-path totals across partitions.
 func TestShardedMatchesFlat(t *testing.T) {
-	wantSnaps, wantFP := shardScenario(-1)
-	for _, setting := range []int{0, 1, 3, 7} {
-		snaps, fp := shardScenario(setting)
+	wantSnaps, _ := shardScenario(0, true)
+	_, wantFP := shardScenario(0, false)
+	for _, shards := range []int{0, 1, 3, 7} {
+		snaps, fp := shardScenario(shards, false)
 		if !reflect.DeepEqual(snaps, wantSnaps) {
-			t.Errorf("shards=%d: outputs diverge from flat path", setting)
+			t.Errorf("shards=%d: outputs diverge from the dirty-every-tick reference", shards)
 		}
 		if fp != wantFP {
-			t.Errorf("shards=%d: fast-path stats diverge:\nflat:  %+v\nshard: %+v", setting, wantFP, fp)
+			t.Errorf("shards=%d: fast-path stats diverge from the automatic partition:\nauto:  %+v\nshard: %+v", shards, wantFP, fp)
 		}
 	}
 }
@@ -150,7 +151,7 @@ func TestShardActiveSetBookkeeping(t *testing.T) {
 	eng := sim.NewEngine(100*time.Millisecond, 7)
 	c := New()
 	c.SetTickWorkers(1)
-	c.SetShards(3)
+	c.shardCount = 3
 	eng.Register(c)
 	var vms []*VM
 	for s := 0; s < 9; s++ {
@@ -178,48 +179,15 @@ func TestShardActiveSetBookkeeping(t *testing.T) {
 	if vms[4].LastGrant().CPUSeconds == 0 {
 		t.Error("woken workload received no grant")
 	}
-	// Quiescence off forces the whole fleet back to per-tick visits.
-	c.SetQuiescence(false)
+	// Dirtying every server runs each one's grant phase once, then parks
+	// the idle ones again.
+	rebuilds := c.FastPathStats().Rebuilds
+	c.EachServer((*Server).MarkDirty)
 	eng.Step()
-	if got := c.ActiveServers(); got != 9 {
-		t.Errorf("with quiescence off ActiveServers = %d, want 9", got)
+	if got := c.FastPathStats().Rebuilds - rebuilds; got != 9 {
+		t.Errorf("tick after dirtying all 9 servers rebuilt %d grant phases, want 9", got)
 	}
-}
-
-// TestShardFlatToggleMidRun flips the cluster between sharded and flat
-// mid-run, with servers parked at the switch, and checks the outputs
-// against an all-flat run: pending elided ticks must settle on the
-// first flat tick.
-func TestShardFlatToggleMidRun(t *testing.T) {
-	run := func(toggle bool) []any {
-		eng := sim.NewEngine(100*time.Millisecond, 11)
-		c := New()
-		c.SetTickWorkers(1)
-		c.SetShards(-1)
-		if toggle {
-			c.SetShards(2)
-		}
-		eng.Register(c)
-		var vms []*VM
-		for s := 0; s < 4; s++ {
-			srv := c.AddServer(fmt.Sprintf("server-%d", s), DefaultServerConfig(), eng.RNG())
-			vms = append(vms, c.AddVM(srv, fmt.Sprintf("vm-%d", s), 2, 8<<30, LowPriority, ""))
-		}
-		vms[0].SetWorkload(&fakeWorkload{name: "w", demand: busyDemand(), maxWork: 0.3})
-		eng.Run(20) // everything parks (sharded) or idles (flat)
-		if toggle {
-			c.SetShards(-1) // back to flat with servers still parked
-		}
-		eng.Run(5)
-		vms[2].SetWorkload(&fakeWorkload{name: "w2", demand: busyDemand(), maxWork: 0.3})
-		eng.Run(15)
-		var out []any
-		for _, v := range vms {
-			out = append(out, v.Cgroup().Snapshot(), v.LastGrant())
-		}
-		return out
-	}
-	if !reflect.DeepEqual(run(true), run(false)) {
-		t.Error("toggling shards mid-run changed simulation outputs")
+	if got := c.ActiveServers(); got != 1 {
+		t.Errorf("after re-parking ActiveServers = %d, want 1", got)
 	}
 }

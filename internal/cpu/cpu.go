@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 )
 
 // Config describes the host CPU.
@@ -48,8 +47,6 @@ type Grant struct {
 type Scheduler struct {
 	cfg Config
 
-	lastQuiescent bool
-
 	// Reused per-Allocate scratch (one scheduler serves one server, ticked
 	// by a single goroutine, so plain fields suffice).
 	clamped []float64
@@ -75,21 +72,6 @@ type Scheduler struct {
 // goroutine ticking the server.
 func (s *Scheduler) MemoStats() (hits, misses uint64) { return s.memoHits, s.memoMisses }
 
-// memoizeOff disables the input memo package-wide when set; the zero
-// value (enabled) is the normal operating mode. Atomic so tests can flip
-// modes without racing live schedulers.
-var memoizeOff atomic.Bool
-
-// SetDefaultMemoize toggles the package-wide input memo (reusing the
-// previous tick's grants when the request vector and tick length are
-// unchanged) and returns the previous setting. Both settings produce
-// bit-for-bit identical grants — the allocator is deterministic in its
-// inputs — so the toggle exists only for equivalence tests and
-// benchmarking the unmemoized path.
-func SetDefaultMemoize(enabled bool) bool {
-	return !memoizeOff.Swap(!enabled)
-}
-
 // requestsEqual reports element-wise equality of two request vectors.
 func requestsEqual(a, b []Request) bool {
 	if len(a) != len(b) {
@@ -114,11 +96,6 @@ func New(cfg Config) *Scheduler {
 // Config returns the host CPU configuration.
 func (s *Scheduler) Config() Config { return s.cfg }
 
-// Quiescent reports whether the most recent Allocate call carried zero
-// demand (the scheduler is stateless, so a quiescent allocation is a
-// strict no-op beyond the zero grants it returns).
-func (s *Scheduler) Quiescent() bool { return s.lastQuiescent }
-
 // Allocate grants core-seconds for one tick. Per-client demand is first
 // clamped to the VM's vcpus and its hard cap; remaining contention for
 // physical cores is resolved max-min fairly.
@@ -133,7 +110,7 @@ func (s *Scheduler) AllocateInto(dst []Grant, tickSec float64, reqs []Request) [
 	if tickSec <= 0 {
 		panic("cpu: nonpositive tick")
 	}
-	if s.memoValid && !memoizeOff.Load() && tickSec == s.memoTick && requestsEqual(reqs, s.memoReqs) {
+	if s.memoValid && tickSec == s.memoTick && requestsEqual(reqs, s.memoReqs) {
 		// Steady state: identical inputs produce identical grants, and the
 		// scheduler has no per-tick internal state to advance.
 		s.memoHits++
@@ -156,7 +133,6 @@ func (s *Scheduler) AllocateInto(dst []Grant, tickSec float64, reqs []Request) [
 		anyDemand = anyDemand || d > 0
 		s.clamped = append(s.clamped, d)
 	}
-	s.lastQuiescent = !anyDemand
 	base := len(dst)
 	if !anyDemand {
 		// Quiescent fast path: all grants are zero; skip the fair share.
@@ -179,7 +155,7 @@ func (s *Scheduler) AllocateInto(dst []Grant, tickSec float64, reqs []Request) [
 // the memo was saved — the cluster's fused steady path proves that via
 // demand epochs instead of re-comparing the vectors every tick.
 func (s *Scheduler) SteadyReady(tickSec float64) bool {
-	return s.memoValid && !memoizeOff.Load() && tickSec == s.memoTick
+	return s.memoValid && tickSec == s.memoTick
 }
 
 // ReplaySteady serves one guaranteed-hit tick in place: the scheduler is

@@ -37,7 +37,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 
 	"perfcloud/internal/sim"
 )
@@ -120,7 +119,6 @@ type Disk struct {
 
 	lastUtilization float64
 	lastRandomLoad  float64
-	lastQuiescent   bool
 
 	// Reused per-Allocate scratch (one disk serves one server, ticked by a
 	// single goroutine, so plain fields suffice).
@@ -140,14 +138,13 @@ type Disk struct {
 	// so a tick repeating last tick's request vector reuses the cached
 	// Ops/Bytes grants and the cached wait coefficient, and recomputes
 	// only WaitMs from this tick's draws.
-	memoValid     bool
-	memoTick      float64
-	memoQuiescent bool
-	memoUtil      float64
-	memoRandom    float64
-	memoWaitCoef  float64 // CongestionScale*q*rlFactor of the memoized tick
-	memoReqs      []Request
-	memoGrants    []Grant // WaitMs fields unused; recomputed per tick
+	memoValid    bool
+	memoTick     float64
+	memoUtil     float64
+	memoRandom   float64
+	memoWaitCoef float64 // CongestionScale*q*rlFactor of the memoized tick
+	memoReqs     []Request
+	memoGrants   []Grant // WaitMs fields unused; recomputed per tick
 
 	// Resolved jitter slots for memoGrants, rebuilt lazily after each memo
 	// save (and after any AR(1) GC compaction, tracked by the generation),
@@ -167,20 +164,6 @@ type Disk struct {
 // full allocation (misses) over the disk's lifetime. Read it between
 // ticks — the counters are owned by the goroutine ticking the server.
 func (d *Disk) MemoStats() (hits, misses uint64) { return d.memoHits, d.memoMisses }
-
-// memoizeOff disables the steady-state memo package-wide when set; the
-// zero value (enabled) is the normal operating mode. Atomic so tests can
-// flip modes without racing live disks.
-var memoizeOff atomic.Bool
-
-// SetDefaultMemoize toggles the package-wide steady-state memo and
-// returns the previous setting. Both settings produce bit-for-bit
-// identical grants — the memoized path replays the same jitter draws and
-// evaluates the same wait expression — so the toggle exists only for
-// equivalence tests and benchmarking the unmemoized path.
-func SetDefaultMemoize(enabled bool) bool {
-	return !memoizeOff.Swap(!enabled)
-}
 
 // requestsEqual reports element-wise equality of two request vectors.
 func requestsEqual(a, b []Request) bool {
@@ -217,14 +200,6 @@ func (d *Disk) Utilization() float64 { return d.lastUtilization }
 // (random) clients on the most recent Allocate call, clipped at 1.
 func (d *Disk) RandomLoad() float64 { return d.lastRandomLoad }
 
-// Quiescent reports whether the most recent Allocate call carried zero
-// demand. A quiescent allocation grants nothing and leaves all observable
-// device state (utilization, random load) at zero; its only side effect
-// is stepping the per-client AR(1) luck factors, which AdvanceIdle can
-// replay — that is what lets the cluster skip idle servers' grant phases
-// without perturbing determinism.
-func (d *Disk) Quiescent() bool { return d.lastQuiescent }
-
 // AdvanceIdle replays the random draws of n all-idle ticks for the given
 // clients in order, advancing the per-client AR(1) luck factors exactly
 // as n quiescent Allocate calls would. The cluster calls it when a server
@@ -250,7 +225,7 @@ func (d *Disk) AllocateInto(dst []Grant, tickSec float64, reqs []Request) []Gran
 	if tickSec <= 0 {
 		panic("disk: nonpositive tick")
 	}
-	if d.memoValid && !memoizeOff.Load() && tickSec == d.memoTick && requestsEqual(reqs, d.memoReqs) {
+	if d.memoValid && tickSec == d.memoTick && requestsEqual(reqs, d.memoReqs) {
 		d.memoHits++
 		return d.allocateSteady(dst)
 	}
@@ -304,7 +279,6 @@ func (d *Disk) AllocateInto(dst []Grant, tickSec float64, reqs []Request) []Gran
 			break
 		}
 	}
-	d.lastQuiescent = !anyOps
 	if !anyOps {
 		d.lastRandomLoad = 0
 		d.lastUtilization = 0
@@ -399,7 +373,6 @@ func (d *Disk) AllocateInto(dst []Grant, tickSec float64, reqs []Request) []Gran
 // the queueing-delay draws.
 func (d *Disk) saveMemo(tickSec float64, reqs []Request, grants []Grant, waitCoef float64) {
 	d.memoTick = tickSec
-	d.memoQuiescent = d.lastQuiescent
 	d.memoUtil = d.lastUtilization
 	d.memoRandom = d.lastRandomLoad
 	d.memoWaitCoef = waitCoef
@@ -414,7 +387,7 @@ func (d *Disk) saveMemo(tickSec float64, reqs []Request, grants []Grant, waitCoe
 // since the memo was saved (proven via demand epochs on the fused steady
 // path).
 func (d *Disk) SteadyReady(tickSec float64) bool {
-	return d.memoValid && !memoizeOff.Load() && tickSec == d.memoTick
+	return d.memoValid && tickSec == d.memoTick
 }
 
 // ReplaySteadyInPlace serves one guaranteed-hit tick directly in the
@@ -424,7 +397,6 @@ func (d *Disk) SteadyReady(tickSec float64) bool {
 // Call only after SteadyReady with len(grants) == len(memoGrants).
 func (d *Disk) ReplaySteadyInPlace(grants []Grant) {
 	d.memoHits++
-	d.lastQuiescent = d.memoQuiescent
 	d.lastUtilization = d.memoUtil
 	d.lastRandomLoad = d.memoRandom
 	if !d.memoSlotsOK || d.memoSlotsGen != d.jitter.Gen() {
@@ -453,7 +425,6 @@ func (d *Disk) ReplaySteadyInPlace(grants []Grant) {
 // is identical; the keep-set GC is skipped, a no-op after an unchanged
 // tick.
 func (d *Disk) allocateSteady(dst []Grant) []Grant {
-	d.lastQuiescent = d.memoQuiescent
 	d.lastUtilization = d.memoUtil
 	d.lastRandomLoad = d.memoRandom
 	for i := range d.memoGrants {

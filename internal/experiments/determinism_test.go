@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"perfcloud/internal/cluster"
+	"perfcloud/internal/sim"
 )
 
 // setParallel forces both parallelism knobs for the duration of a test:
@@ -65,5 +66,38 @@ func TestParallelMatchesSequential(t *testing.T) {
 				t.Errorf("parallel result differs from sequential:\nseq: %+v\npar: %+v", sequential, parallel)
 			}
 		})
+	}
+}
+
+// TestSharedPoolBoundsWorkers runs concurrent experiment repetitions —
+// each ticking a multi-server cluster through the parallel grant phase —
+// and asserts the process-wide slot pool never hands out more slots than
+// it has: total concurrent workers stay at or below GOMAXPROCS (the pool
+// capacity plus the one root goroutine). `make race` runs this under the
+// race detector, exercising the pool's acquire/release paths.
+func TestSharedPoolBoundsWorkers(t *testing.T) {
+	pool := sim.SharedPool()
+	pool.ResetPeak()
+
+	prev := SetMaxParallelRuns(0) // automatic: as many repetition workers as allowed
+	t.Cleanup(func() { SetMaxParallelRuns(prev) })
+
+	cfg := VariabilityConfig{
+		Seed:             seed,
+		Servers:          3,
+		WorkersPerServer: 6,
+		Runs:             6,
+		Fio:              2,
+		Streams:          2,
+		Tasks:            18,
+		Limit:            time.Hour,
+	}
+	Fig12With(cfg, []Scheme{SchemeLATE()})
+
+	if peak, capacity := pool.PeakInUse(), pool.Capacity(); peak > capacity {
+		t.Fatalf("pool handed out %d slots, capacity %d: worker fan-outs multiplied", peak, capacity)
+	}
+	if used := pool.InUse(); used != 0 {
+		t.Fatalf("%d slots still held after the suite finished", used)
 	}
 }

@@ -2,63 +2,32 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
+	"perfcloud/internal/cloud"
 	"perfcloud/internal/cluster"
 	"perfcloud/internal/mapreduce"
 	"perfcloud/internal/obs"
+	"perfcloud/internal/sim"
 	"perfcloud/internal/trace"
 	"perfcloud/internal/workloads"
 )
 
-// setShards forces a package-wide shard setting for the duration of a
-// test: n >= 0 shards the cluster tick, -1 restores the flat pre-shard
-// path.
-func setShards(t *testing.T, n int) {
-	t.Helper()
-	prev := cluster.SetDefaultShards(n)
-	t.Cleanup(func() { cluster.SetDefaultShards(prev) })
-}
-
-// TestShardingMatchesFlat is the whole-experiment determinism contract
-// of sharded ticking (DESIGN.md §5.7): partitioning the fleet into
-// independently ticking shards with O(active) bookkeeping must leave
-// every figure of the paper bit-for-bit unchanged against the flat
-// path — across frameworks, antagonists, Dolly cloning and the PerfCloud
-// control loop.
-func TestShardingMatchesFlat(t *testing.T) {
-	mix := smallMix()
-	mix.NumMR, mix.NumSpark = 4, 4
-
-	cases := []struct {
-		name string
-		run  func() any
-	}{
-		{"Fig3", func() any { return Fig3(seed) }},
-		{"Fig11", func() any { return Fig11With(mix, []Scheme{SchemeLATE(), SchemeDolly(2), SchemePerfCloud()}) }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			setShards(t, -1)
-			flat := tc.run()
-			for _, n := range []int{0, 3} {
-				setShards(t, n)
-				if sharded := tc.run(); !reflect.DeepEqual(flat, sharded) {
-					t.Errorf("shards=%d result differs from flat reference:\nflat:    %+v\nsharded: %+v", n, flat, sharded)
-				}
-			}
-		})
-	}
-}
-
-// TestShardTracingByteIdentical extends the tracing invariant to the
-// sharded tick path: a traced run must emit Perfetto JSON byte-identical
-// to the flat run — every span boundary, phase attribution and
-// control-plane instant on the same timestamps.
+// TestShardTracingByteIdentical is the whole-testbed determinism contract
+// of the cluster tick (DESIGN.md §5.7). A 3-server Hadoop testbed grows
+// to 129 servers with idle tenant VMs, which the automatic partition
+// splits into 3 shards; the cold servers park, and a mid-run antagonist
+// wakes one in the last shard. The traced run must emit Perfetto JSON
+// byte-identical to the same run with every server marked dirty before
+// every tick — the reference with nothing parked, reused or fused — so
+// every span boundary, phase attribution and control-plane instant lands
+// on the same timestamp; and every VM's cgroup counters, which include
+// the woken cold server's, must match too.
 func TestShardTracingByteIdentical(t *testing.T) {
-	run := func() []byte {
+	run := func(reference bool) ([]byte, []any) {
 		pc := ControllerConfig()
 		col := obs.NewCollector()
 		pc.Events = col
@@ -69,20 +38,45 @@ func TestShardTracingByteIdentical(t *testing.T) {
 			PerfCloud: pc,
 			Tracer:    tr,
 		})
+		tb.CM.ProvisionServers(126)
+		for i := 0; i < 252; i++ {
+			if _, err := tb.CM.Boot(cloud.VMSpec{Name: fmt.Sprintf("tenant-%03d", i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := tb.Clus.ShardCount(); got != 3 {
+			t.Fatalf("129-server testbed has %d shards, want 3", got)
+		}
+		if reference {
+			// After the frameworks, whose ticks may dirty servers, and
+			// before the cluster.
+			tb.Eng.RegisterPriority(sim.TickFunc(func(*sim.Clock) {
+				tb.Clus.EachServer((*cluster.Server).MarkDirty)
+			}), -1)
+		}
 		tb.MustInput("input", 512<<20)
 		tb.AddAntagonist(0, workloads.NewFioRandRead(workloads.AlwaysOn))
+		tb.Eng.Run(50)
+		tb.AddAntagonist(128, workloads.NewFioRandRead(workloads.AlwaysOn))
 		tb.RunMR(mapreduce.Terasort("input", 4), 30*time.Minute)
+		if fp := tb.Clus.FastPathStats(); !reference && (fp.QuiescentSkips == 0 || fp.ShardSkips == 0 || fp.SteadyReuses == 0) {
+			t.Fatalf("plain run missed a fast path: %+v", fp)
+		}
 		var b bytes.Buffer
 		if err := tr.WritePerfetto(&b, col.Events()); err != nil {
 			t.Fatal(err)
 		}
-		return b.Bytes()
+		var counters []any
+		tb.Clus.EachVM(func(v *cluster.VM) { counters = append(counters, v.Cgroup().Snapshot()) })
+		return b.Bytes(), counters
 	}
 
-	setShards(t, -1)
-	flat := run()
-	setShards(t, 2)
-	if sharded := run(); !bytes.Equal(flat, sharded) {
-		t.Error("sharded run produced different trace bytes than the flat reference")
+	refTrace, refCounters := run(true)
+	plainTrace, plainCounters := run(false)
+	if !bytes.Equal(refTrace, plainTrace) {
+		t.Error("sharded run produced different trace bytes than the dirty-every-tick reference")
+	}
+	if !reflect.DeepEqual(refCounters, plainCounters) {
+		t.Error("sharded run produced different cgroup counters than the dirty-every-tick reference")
 	}
 }

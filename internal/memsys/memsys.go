@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync/atomic"
 
 	"perfcloud/internal/sim"
 )
@@ -101,8 +100,7 @@ type System struct {
 	cfg    Config
 	jitter *sim.AR1
 
-	lastPressure  float64
-	lastQuiescent bool
+	lastPressure float64
 
 	// Reused per-Compute scratch (one system serves one server, ticked by
 	// a single goroutine, so plain fields suffice).
@@ -162,20 +160,6 @@ type memoReplay struct {
 // goroutine ticking the server.
 func (s *System) MemoStats() (hits, misses uint64) { return s.memoHits, s.memoMisses }
 
-// memoizeOff disables the input memo package-wide when set; the zero
-// value (enabled) is the normal operating mode. Atomic so tests can flip
-// modes without racing live systems.
-var memoizeOff atomic.Bool
-
-// SetDefaultMemoize toggles the package-wide input memo and returns the
-// previous setting. Both settings produce bit-for-bit identical results
-// and leave the seeded jitter stream in the identical position — the
-// toggle exists only for equivalence tests and benchmarking the
-// unmemoized path.
-func SetDefaultMemoize(enabled bool) bool {
-	return !memoizeOff.Swap(!enabled)
-}
-
 // requestsEqual reports element-wise equality of two request vectors.
 func requestsEqual(a, b []Request) bool {
 	if len(a) != len(b) {
@@ -204,13 +188,6 @@ func (s *System) Config() Config { return s.cfg }
 // most recent Compute call (may exceed 1 under oversubscription).
 func (s *System) Pressure() float64 { return s.lastPressure }
 
-// Quiescent reports whether the most recent Compute call carried zero
-// granted CPU time. A quiescent computation is a strict no-op on model
-// state — no AR(1) jitter is stepped and no RNG is consumed — which is
-// what lets the cluster skip idle servers' grant phases without
-// perturbing determinism.
-func (s *System) Quiescent() bool { return s.lastQuiescent }
-
 // Compute resolves one tick of shared-cache and bandwidth behaviour.
 // Results are returned in request order.
 func (s *System) Compute(tickSec float64, reqs []Request) []Result {
@@ -224,7 +201,7 @@ func (s *System) ComputeInto(dst []Result, tickSec float64, reqs []Request) []Re
 	if tickSec <= 0 {
 		panic("memsys: nonpositive tick")
 	}
-	if s.memoValid && !memoizeOff.Load() && tickSec == s.memoTick && requestsEqual(reqs, s.memoReqs) {
+	if s.memoValid && tickSec == s.memoTick && requestsEqual(reqs, s.memoReqs) {
 		// Steady state: everything upstream of the luck draws is cached.
 		// The draws the full path would have consumed are still replayed —
 		// the stream position is part of the model's observable state — and
@@ -293,7 +270,6 @@ func (s *System) ComputeInto(dst []Result, tickSec float64, reqs []Request) []Re
 			break
 		}
 	}
-	s.lastQuiescent = !anyActive
 	base := len(dst)
 	if !anyActive {
 		s.lastPressure = 0
@@ -378,7 +354,7 @@ func (s *System) saveMemo(tickSec float64, reqs []Request, results []Result) {
 // tickSec whose request vector the caller guarantees is unchanged since
 // the memo was saved (proven via demand epochs on the fused steady path).
 func (s *System) SteadyReady(tickSec float64) bool {
-	return s.memoValid && !memoizeOff.Load() && tickSec == s.memoTick
+	return s.memoValid && tickSec == s.memoTick
 }
 
 // ReplaySteadyInPlace serves one guaranteed-hit tick directly in the
