@@ -1,5 +1,5 @@
 # Tier-1 verification (ROADMAP.md): build + full test suite.
-.PHONY: all build test check race bench bench-suite bench-compare bench-scale
+.PHONY: all build test check race bench bench-suite bench-compare bench-scale bench-ratio
 
 all: check
 
@@ -59,7 +59,17 @@ bench-scale:
 	go test -run='^$$' -bench=ShardScale -benchmem \
 		./internal/cluster | go run ./cmd/benchjson -o BENCH_scale.json
 	go run ./cmd/benchjson -injson BENCH_scale.json \
-		-ratio 'servers=10240,servers=1024' -max-ratio 2
+		-ratio 'BenchmarkShardScale/servers=10240,BenchmarkShardScale/servers=1024' -max-ratio 2
+
+# bench-ratio gates the hot-loop fast paths within one run: ticking a
+# busy server (BenchmarkActiveServerTick) may cost at most 0.67x a tick
+# that first marks every server dirty, so nothing is parked, reused or
+# fused (BenchmarkActiveServerTickDirty) — the fast paths must make the
+# tick at least 1.5x faster. Both operands come from the same run, so
+# the gate holds on any machine.
+bench-ratio:
+	go test -run='^$$' -bench='^BenchmarkActiveServerTick' -benchmem ./internal/cluster \
+		| go run ./cmd/benchjson -ratio 'BenchmarkActiveServerTick,BenchmarkActiveServerTickDirty' -max-ratio 0.67
 
 # bench-suite times the full Fig 3-12 experiment suite end to end —
 # per-figure wall clock via perfbench -suite, plus the single-pass

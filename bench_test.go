@@ -361,7 +361,7 @@ func BenchmarkFig12Parallel(b *testing.B) {
 
 func BenchmarkAblationD3_ControlPolicy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.AblationControl(benchSeed)
+		r := experiments.AblationControl(benchSeed, experiments.Observers{})
 		b.ReportMetric(float64(r.Row("cubic").Decreases), "cubic-decreases")
 		b.ReportMetric(float64(r.Row("aimd").Decreases), "aimd-decreases")
 		if i == 0 {

@@ -32,14 +32,15 @@
 //	benchjson -injson fresh.json -filter 'FigSuite/Fig1[12]$' \
 //	  -baseline BENCH_suite.json -max-regress 25
 //
-// -ratio 'NUM,DEN' (name substrings) prints ns/op(NUM)/ns/op(DEN) over
-// this run's results, and -max-ratio turns it into a gate. Both operands
-// come from the same run, so the gate checks scaling — "ticking a
-// 10x-larger fleet may cost at most 2x per tick" — independent of the
-// machine's absolute speed:
+// -ratio 'NUM,DEN' prints ns/op(NUM)/ns/op(DEN) over this run's results,
+// and -max-ratio turns it into a gate. Each operand is a benchmark's
+// exact name or a substring of exactly one name (see benchfmt.Ratio).
+// Both operands come from the same run, so the gate checks scaling —
+// "ticking a 10x-larger fleet may cost at most 2x per tick" —
+// independent of the machine's absolute speed:
 //
 //	benchjson -injson BENCH_scale.json \
-//	  -ratio 'servers=10240,servers=1024' -max-ratio 2
+//	  -ratio 'BenchmarkShardScale/servers=10240,BenchmarkShardScale/servers=1024' -max-ratio 2
 package main
 
 import (
@@ -60,7 +61,7 @@ func main() {
 	maxRegress := flag.Float64("max-regress", 0, "with -baseline: exit non-zero if any ns/op regressed by more than this percentage (0 = report only)")
 	injson := flag.String("injson", "", "benchfmt JSON file to read results from instead of parsing stdin")
 	filter := flag.String("filter", "", "regexp: only results whose name matches are compared and merged")
-	ratio := flag.String("ratio", "", "'NUM,DEN' name substrings: print ns/op(NUM)/ns/op(DEN) from this run's results")
+	ratio := flag.String("ratio", "", "'NUM,DEN' benchmark names (or unique substrings): print ns/op(NUM)/ns/op(DEN) from this run's results")
 	maxRatio := flag.Float64("max-ratio", 0, "with -ratio: exit non-zero if the ratio exceeds this (0 = report only)")
 	flag.Parse()
 	if *maxRegress != 0 && *baseline == "" {
@@ -77,7 +78,7 @@ func main() {
 			fatal(err)
 		}
 	} else {
-		echo := *out != "" || *baseline != ""
+		echo := *out != "" || *baseline != "" || *ratio != ""
 		sc := bufio.NewScanner(os.Stdin)
 		sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 		for sc.Scan() {
@@ -135,7 +136,7 @@ func main() {
 	if *ratio != "" {
 		num, den, ok := strings.Cut(*ratio, ",")
 		if !ok || num == "" || den == "" {
-			fatal(fmt.Errorf("-ratio wants 'NUM,DEN' name substrings, got %q", *ratio))
+			fatal(fmt.Errorf("-ratio wants 'NUM,DEN' benchmark names, got %q", *ratio))
 		}
 		v, err := benchfmt.Ratio(results, num, den)
 		if err != nil {

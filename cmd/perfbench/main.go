@@ -114,15 +114,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, "perfbench:", err)
 			os.Exit(1)
 		}
-		experiments.SetTraceDir(*tracedir)
 	}
-	if *scorecard {
-		experiments.SetScorecards(true)
-	}
+	observe := experiments.Observers{TraceDir: *tracedir, Scorecards: *scorecard}
 	if *alerts {
 		// The signal-only default pack: every rule reads the audit-event
 		// stream, so one pack serves every testbed the suite builds.
-		experiments.SetAlertRules(obs.DefaultRules(obs.DefaultRulesConfig{}))
+		observe.Alerts = obs.DefaultRules(obs.DefaultRulesConfig{})
 	}
 	var hl *obs.Health
 	if *health {
@@ -270,6 +267,7 @@ func main() {
 		timed("Fig11", func() {
 			cfg := experiments.DefaultLargeScaleConfig()
 			cfg.Seed = *seed
+			cfg.Observe = observe
 			if *quick {
 				cfg.Servers, cfg.WorkersPerServer = 5, 8
 				cfg.NumMR, cfg.NumSpark = 20, 20
@@ -295,6 +293,7 @@ func main() {
 		timed("Fig12", func() {
 			cfg := experiments.DefaultVariabilityConfig()
 			cfg.Seed = *seed
+			cfg.Observe = observe
 			if *quick {
 				cfg.Servers, cfg.WorkersPerServer = 5, 8
 				cfg.Runs, cfg.Tasks = 8, 20
@@ -317,7 +316,7 @@ func main() {
 	if want("ablations") {
 		emit(experiments.AblationDetector(*seed).Table())
 		emit(experiments.AblationPearson(*seed).Table())
-		rc := experiments.AblationControl(*seed)
+		rc := experiments.AblationControl(*seed, observe)
 		emit(rc.Table())
 		if *scorecard {
 			emit(rc.ScorecardTable())

@@ -94,7 +94,6 @@ func run(cfg runConfig) error {
 		PerfCloud: ctl,
 		Tracer:    cfg.Tracer,
 	})
-	alertEng.SetGroundTruth(tb.Truth)
 	tb.MustInput("input", 640<<20)
 	tb.AddAntagonist(0, workloads.NewFioRandRead(
 		workloads.BurstPattern{StartOffset: 10 * time.Second, On: 20 * time.Second, Off: 10 * time.Second}))

@@ -55,9 +55,17 @@ func main() {
 		*alerts = true
 	}
 
-	if *servers < 1 {
-		fmt.Fprintf(os.Stderr, "psim: -servers must be at least 1, got %d\n", *servers)
-		os.Exit(2)
+	for _, f := range []struct {
+		name     string
+		val, min int
+	}{
+		{"servers", *servers, 1}, {"workers", *workers, 1},
+		{"jobs", *jobs, 0}, {"fio", *nfio, 0}, {"streams", *nstream, 0},
+	} {
+		if f.val < f.min {
+			fmt.Fprintf(os.Stderr, "psim: -%s must be at least %d, got %d\n", f.name, f.min, f.val)
+			os.Exit(2)
+		}
 	}
 
 	cfg := experiments.TestbedConfig{
@@ -136,7 +144,6 @@ func main() {
 
 	tb := experiments.NewTestbed(cfg)
 	tbRef = tb
-	alertEng.SetGroundTruth(tb.Truth)
 	tb.MustInput("input", 640<<20)
 	for i := 0; i < *nfio; i++ {
 		tb.AddAntagonist(i%*servers, workloads.NewFioRandRead(

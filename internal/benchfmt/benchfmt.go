@@ -153,20 +153,34 @@ func Regressions(base, cur []Result, maxPct float64) []string {
 	return out
 }
 
-// Ratio returns ns/op(num) / ns/op(den), locating each operand as the
-// first result whose name contains the given substring. It backs
-// scaling gates of the form "the 10x-larger configuration may cost at
-// most Kx per op": the two operands come from the same run, so the
+// Ratio returns ns/op(num) / ns/op(den). Each operand names one result:
+// the result with exactly that name, else the only result whose name
+// contains it; a substring matching several results is an error, so
+// "ActiveServerTick" cannot silently pick "ActiveServerTickDirty". It
+// backs within-run gates such as "the 10x-larger configuration may cost
+// at most Kx per op": the two operands come from the same run, so the
 // check is machine-independent in a way absolute-baseline gates are
-// not. Errors name the missing operand or a zero denominator.
+// not. Errors name a missing or ambiguous operand or a zero denominator.
 func Ratio(results []Result, num, den string) (float64, error) {
 	find := func(sub string) (Result, error) {
+		var hits []string
+		var hit Result
 		for _, r := range results {
-			if strings.Contains(r.Name, sub) {
+			if r.Name == sub {
 				return r, nil
 			}
+			if strings.Contains(r.Name, sub) {
+				hits = append(hits, r.Name)
+				hit = r
+			}
 		}
-		return Result{}, fmt.Errorf("no benchmark matching %q", sub)
+		switch len(hits) {
+		case 0:
+			return Result{}, fmt.Errorf("no benchmark matching %q", sub)
+		case 1:
+			return hit, nil
+		}
+		return Result{}, fmt.Errorf("%q matches several benchmarks: %s", sub, strings.Join(hits, ", "))
 	}
 	n, err := find(num)
 	if err != nil {

@@ -95,24 +95,36 @@ func TestRatio(t *testing.T) {
 	results := []Result{
 		{Name: "BenchmarkShardScale/servers=1024", NsPerOp: 1000},
 		{Name: "BenchmarkShardScale/servers=10240", NsPerOp: 1500},
+		{Name: "BenchmarkActiveServerTickDirty", NsPerOp: 400},
+		{Name: "BenchmarkActiveServerTick", NsPerOp: 100},
 		{Name: "BenchmarkOther", NsPerOp: 0},
 	}
-	v, err := Ratio(results, "servers=10240", "servers=1024")
-	if err != nil || v != 1.5 {
-		t.Fatalf("Ratio = %v, %v, want 1.5", v, err)
-	}
-	// Substring match takes the first hit: "servers=1024" matches the
-	// 1024 row because it precedes the 10240 row.
-	if v, _ := Ratio(results, "servers=1024", "servers=1024"); v != 1 {
-		t.Errorf("self ratio = %v, want 1", v)
-	}
-	if _, err := Ratio(results, "nope", "servers=1024"); err == nil {
-		t.Error("missing numerator: want error")
-	}
-	if _, err := Ratio(results, "servers=10240", "nope"); err == nil {
-		t.Error("missing denominator: want error")
-	}
-	if _, err := Ratio(results, "servers=10240", "Other"); err == nil {
-		t.Error("zero denominator: want error")
+	for _, tc := range []struct {
+		name, num, den string
+		want           float64 // 0 = want an error
+	}{
+		{"full names", "BenchmarkShardScale/servers=10240", "BenchmarkShardScale/servers=1024", 1.5},
+		{"unique substrings", "servers=10240", "Dirty", 3.75},
+		// An exact name wins over the longer name containing it, even
+		// when the longer one comes first.
+		{"exact beats substring", "BenchmarkActiveServerTick", "BenchmarkActiveServerTickDirty", 0.25},
+		{"ambiguous numerator", "servers=1024", "BenchmarkShardScale/servers=1024", 0},
+		{"ambiguous denominator", "servers=10240", "ActiveServerTick", 0},
+		{"missing numerator", "nope", "servers=10240", 0},
+		{"missing denominator", "servers=10240", "nope", 0},
+		{"zero denominator", "servers=10240", "Other", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v, err := Ratio(results, tc.num, tc.den)
+			if tc.want == 0 {
+				if err == nil {
+					t.Fatalf("Ratio(%q, %q) = %v, want an error", tc.num, tc.den, v)
+				}
+				return
+			}
+			if err != nil || v != tc.want {
+				t.Fatalf("Ratio(%q, %q) = %v, %v, want %v", tc.num, tc.den, v, err, tc.want)
+			}
+		})
 	}
 }

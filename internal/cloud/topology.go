@@ -290,7 +290,7 @@ func (m *Manager) Zones() []*Zone {
 }
 
 // EachZone calls fn for every zone in creation order without copying —
-// the telemetry rollup key for the fleet's top level.
+// the key fleet telemetry aggregates the top level under.
 func (m *Manager) EachZone(fn func(*Zone)) {
 	m.syncIndex()
 	for _, z := range m.zones {

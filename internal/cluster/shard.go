@@ -145,7 +145,7 @@ func (c *Cluster) ensureShards() {
 	c.partServers = n
 }
 
-// ShardStats is one shard's telemetry rollup key and occupancy — the
+// ShardStats is one shard's telemetry key and occupancy — the
 // granularity at which fleet-scale exporters aggregate, so a 10k-server
 // cluster exposes ~160 shard series instead of 10k server series.
 type ShardStats struct {
@@ -166,18 +166,6 @@ func (c *Cluster) EachShardStats(fn func(ShardStats)) {
 		sh := &c.shards[i]
 		fn(ShardStats{Index: i, Servers: sh.end - sh.start, Active: sh.active})
 	}
-}
-
-// ShardOf returns the shard index hosting the given server id, or -1 if
-// the server is unknown — the locate primitive hierarchical telemetry
-// rollups key on.
-func (c *Cluster) ShardOf(serverID string) int {
-	s, ok := c.srvByID[serverID]
-	if !ok {
-		return -1
-	}
-	c.ensureShards()
-	return c.shardIndex(s.index)
 }
 
 // shardIndex maps a server index to its shard: the first shardRem shards

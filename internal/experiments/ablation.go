@@ -25,7 +25,7 @@ type AblationControlRow struct {
 	FioIOPS    float64
 	PeakIowait float64
 	// Score grades the policy's cap decisions against ground truth; nil
-	// unless scorecards are enabled (SetScorecards).
+	// unless the run's Observers set Scorecards.
 	Score *obs.Scorecard
 }
 
@@ -38,17 +38,18 @@ type AblationControlResult struct {
 }
 
 // AblationControl runs the three policies, each an independent testbed,
-// concurrently (bounded by MaxParallelRuns).
-func AblationControl(seed int64) AblationControlResult {
+// concurrently (bounded by MaxParallelRuns). Of the observers only
+// scorecards apply: the ablation reports no traces or alerts.
+func AblationControl(seed int64, o Observers) AblationControlResult {
 	policies := []string{"cubic", "aimd", "static"}
 	rows := make([]AblationControlRow, len(policies))
 	forEachRun(len(policies), func(i int) {
-		rows[i] = ablationControlRun(seed, policies[i])
+		rows[i] = ablationControlRun(seed, policies[i], Observers{Scorecards: o.Scorecards})
 	})
 	return AblationControlResult{Rows: rows}
 }
 
-func ablationControlRun(seed int64, policy string) AblationControlRow {
+func ablationControlRun(seed int64, policy string, o Observers) AblationControlRow {
 	pc := ControllerConfig()
 	switch policy {
 	case "aimd":
@@ -61,12 +62,7 @@ func ablationControlRun(seed int64, policy string) AblationControlRow {
 	case "static":
 		pc = ObserverConfig()
 	}
-	scoring := scorecardsOn()
-	var col *obs.Collector
-	if scoring {
-		col = obs.NewCollector()
-		pc.Events = col
-	}
+	ob := o.attach(pc)
 	tb := NewTestbed(TestbedConfig{Seed: seed, WorkersPerServer: fig9Workers, PerfCloud: pc})
 	fio := workloads.NewFioRandRead(workloads.BurstPattern{
 		StartOffset: 15 * time.Second, On: 60 * time.Second, Off: 15 * time.Second})
@@ -95,9 +91,7 @@ func ablationControlRun(seed int64, policy string) AblationControlRow {
 		}
 	}
 	row.CapStdDev = stats.StdDev(caps)
-	if scoring {
-		row.Score = scoreRun(tb, col, policy, tb.Eng.Clock().Seconds())
-	}
+	_, row.Score, _ = ob.finish(tb, policy, "", true)
 	return row
 }
 
@@ -112,7 +106,7 @@ func (r AblationControlResult) Table() *trace.Table {
 }
 
 // ScorecardTable renders the per-policy detection scorecards (empty
-// unless the run had SetScorecards enabled).
+// unless the run's Observers set Scorecards).
 func (r AblationControlResult) ScorecardTable() *trace.Table {
 	var cards []*obs.Scorecard
 	for _, row := range r.Rows {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestAblationControlStability(t *testing.T) {
-	r := AblationControl(seed)
+	r := AblationControl(seed, Observers{})
 	cubic := r.Row("cubic")
 	aimd := r.Row("aimd")
 	static := r.Row("static")

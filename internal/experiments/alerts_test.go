@@ -20,6 +20,7 @@ func alertTestRules() []obs.Rule {
 // engine only reads the audit stream, it never feeds back into the
 // simulation. Covers both Fig 11 and Fig 12.
 func TestAlertsDoNotChangeResults(t *testing.T) {
+	t.Parallel()
 	cfg := scoreTestMix()
 	schemes := []Scheme{SchemeLATE(), SchemePerfCloud()}
 	off11 := Fig11With(cfg, schemes)
@@ -30,8 +31,8 @@ func TestAlertsDoNotChangeResults(t *testing.T) {
 	}
 	off12 := Fig12With(vcfg, schemes)
 
-	prev := SetAlertRules(alertTestRules())
-	defer SetAlertRules(prev)
+	cfg.Observe.Alerts = alertTestRules()
+	vcfg.Observe.Alerts = alertTestRules()
 	on11 := Fig11With(cfg, schemes)
 	on12 := Fig12With(vcfg, schemes)
 
@@ -78,9 +79,9 @@ func TestAlertsDoNotChangeResults(t *testing.T) {
 // TestAlertsDeterministic: same seed, same rules ⇒ identical summaries,
 // including the rendered table the CLI emits.
 func TestAlertsDeterministic(t *testing.T) {
-	prev := SetAlertRules(alertTestRules())
-	defer SetAlertRules(prev)
+	t.Parallel()
 	cfg := scoreTestMix()
+	cfg.Observe.Alerts = alertTestRules()
 	schemes := []Scheme{SchemePerfCloud()}
 	a := Fig11With(cfg, schemes)
 	b := Fig11With(cfg, schemes)

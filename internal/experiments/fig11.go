@@ -76,6 +76,7 @@ type LargeScaleConfig struct {
 	Streams          int // STREAM antagonist VMs, randomly placed
 	InterarrivalSec  float64
 	Limit            time.Duration
+	Observe          Observers // traces, scorecards and alerts for every run
 }
 
 // DefaultLargeScaleConfig mirrors the paper's 152-node / 15-server setup
@@ -219,13 +220,13 @@ type MixOutcome struct {
 	JCTs       []float64 // per logical job, in mix order
 	Efficiency float64
 	// Phases aggregates per-attempt phase attribution for the run; zero
-	// unless a trace directory is set (SetTraceDir).
+	// unless Observe.TraceDir is set.
 	Phases trace.PhaseTotals
 	// Score grades the run's cap decisions against ground truth; nil
-	// unless scorecards are enabled (SetScorecards).
+	// unless Observe.Scorecards is set.
 	Score *obs.Scorecard
-	// Alerts summarises the run's alert-rule activity; nil unless rules
-	// are installed (SetAlertRules) and the scheme deploys PerfCloud.
+	// Alerts summarises the run's alert-rule activity; nil unless
+	// Observe.Alerts holds rules and the scheme deploys PerfCloud.
 	Alerts *obs.AlertSummary
 }
 
@@ -235,28 +236,15 @@ func runMix(cfg LargeScaleConfig, sch Scheme, withAntagonists bool) MixOutcome {
 	if sch.PerfCloud {
 		pc = ControllerConfig()
 	}
-	tr := newRunTracer()
-	scoring := scorecardsOn()
-	rules := alertRules()
-	var col *obs.Collector
-	if pc != nil && (tr != nil || scoring || len(rules) > 0) {
-		col = obs.NewCollector()
-		pc.Events = col
-	}
-	var alerts *obs.AlertEngine
-	if pc != nil && len(rules) > 0 {
-		alerts = obs.NewAlertEngine(rules, col)
-		pc.Alerts = alerts
-	}
+	ob := cfg.Observe.attach(pc)
 	tb := NewTestbed(TestbedConfig{
 		Seed:             cfg.Seed,
 		Servers:          cfg.Servers,
 		WorkersPerServer: cfg.WorkersPerServer, BlockBytes: mixBlockBytes,
 		Speculator: sch.speculator(),
 		PerfCloud:  pc,
-		Tracer:     tr,
+		Tracer:     ob.tr,
 	})
-	alerts.SetGroundTruth(tb.Truth)
 	specs := generateMix(cfg)
 	// One input file per distinct map count keeps DFS setup cheap.
 	sizes := map[int]bool{}
@@ -297,22 +285,11 @@ func runMix(cfg LargeScaleConfig, sch Scheme, withAntagonists bool) MixOutcome {
 		acc.TotalSeconds += a.TotalSeconds
 	}
 	out.Efficiency = acc.Efficiency()
-	if scoring && withAntagonists {
-		out.Score = scoreRun(tb, col, sch.Name, now)
+	name := "fig11-" + sch.Name
+	if !withAntagonists {
+		name += "-baseline"
 	}
-	out.Alerts = alertSummaryFor(alerts)
-	if tr != nil {
-		out.Phases = tr.Totals()
-		name := "fig11-" + sch.Name
-		if !withAntagonists {
-			name += "-baseline"
-		}
-		var events []obs.Event
-		if col != nil {
-			events = col.Events()
-		}
-		writeRunTrace(name, tr, events)
-	}
+	out.Phases, out.Score, out.Alerts = ob.finish(tb, sch.Name, name, withAntagonists)
 	return out
 }
 
@@ -412,13 +389,13 @@ type Fig11Row struct {
 	MeanDegraded float64 // mean degradation across jobs
 	Efficiency   float64 // only populated on the "all" row
 	// Phases carries the run's phase-attribution totals (only on the
-	// "all" row, and only when a trace directory is set).
+	// "all" row, and only when Observe.TraceDir is set).
 	Phases trace.PhaseTotals
 	// Score is the scheme's detection scorecard (only on the "all" row,
-	// and only when scorecards are enabled via SetScorecards).
+	// and only when Observe.Scorecards is set).
 	Score *obs.Scorecard
 	// Alerts is the scheme's alert-rule summary (only on the "all" row,
-	// and only when rules are installed via SetAlertRules).
+	// and only when Observe.Alerts holds rules).
 	Alerts *obs.AlertSummary
 }
 
@@ -546,7 +523,7 @@ func (r Fig11Result) Table() *trace.Table {
 }
 
 // ScorecardTable renders the per-scheme detection scorecards (empty
-// unless the run had SetScorecards enabled).
+// unless the run had Observe.Scorecards set).
 func (r Fig11Result) ScorecardTable() *trace.Table {
 	var cards []*obs.Scorecard
 	for _, row := range r.Rows {
@@ -558,7 +535,7 @@ func (r Fig11Result) ScorecardTable() *trace.Table {
 }
 
 // AlertTable renders the per-scheme alert summaries (empty unless the
-// run had rules installed via SetAlertRules).
+// run had rules in Observe.Alerts).
 func (r Fig11Result) AlertTable() *trace.Table {
 	var schemes []string
 	var sums []*obs.AlertSummary

@@ -25,6 +25,7 @@ type VariabilityConfig struct {
 	Streams          int
 	Tasks            int
 	Limit            time.Duration
+	Observe          Observers // traces, scorecards and alerts for every run
 }
 
 // DefaultVariabilityConfig mirrors the paper: 15 servers, 30 repetitions.
@@ -47,13 +48,13 @@ type Fig12Row struct {
 	Scheme   string
 	Summary  stats.Summary // of JCT normalized by the interference-free JCT
 	// Phases sums per-attempt phase attribution across the row's
-	// repetitions; zero unless a trace directory is set (SetTraceDir).
+	// repetitions; zero unless Observe.TraceDir is set.
 	Phases trace.PhaseTotals
 	// Score merges the repetitions' detection scorecards; nil unless
-	// scorecards are enabled (SetScorecards).
+	// Observe.Scorecards is set.
 	Score *obs.Scorecard
-	// Alerts merges the repetitions' alert summaries; nil unless rules
-	// are installed (SetAlertRules) and the scheme deploys PerfCloud.
+	// Alerts merges the repetitions' alert summaries; nil unless
+	// Observe.Alerts holds rules and the scheme deploys PerfCloud.
 	Alerts *obs.AlertSummary
 }
 
@@ -161,28 +162,15 @@ func Fig12With(cfg VariabilityConfig, schemes []Scheme) Fig12Result {
 	return res
 }
 
-// fig12Run executes one repetition, returning the logical JCT, the
-// repetition's phase totals (zero when tracing is off), its detection
-// scorecard (nil when scorecards are off) and its alert summary (nil
-// when no rules are installed).
+// fig12Run executes one repetition, returning the logical JCT and what
+// its observers report (see runObservers.finish); traceName names the
+// repetition's trace file.
 func fig12Run(cfg VariabilityConfig, seed int64, workload string, sch Scheme, antagonists bool, traceName string) (float64, trace.PhaseTotals, *obs.Scorecard, *obs.AlertSummary) {
 	var pc *core.Config
 	if sch.PerfCloud {
 		pc = ControllerConfig()
 	}
-	tr := newRunTracer()
-	scoring := scorecardsOn()
-	rules := alertRules()
-	var col *obs.Collector
-	if pc != nil && (tr != nil || scoring || len(rules) > 0) {
-		col = obs.NewCollector()
-		pc.Events = col
-	}
-	var eng *obs.AlertEngine
-	if pc != nil && len(rules) > 0 {
-		eng = obs.NewAlertEngine(rules, col)
-		pc.Alerts = eng
-	}
+	ob := cfg.Observe.attach(pc)
 	tb := NewTestbed(TestbedConfig{
 		Seed:             seed,
 		Servers:          cfg.Servers,
@@ -190,9 +178,8 @@ func fig12Run(cfg VariabilityConfig, seed int64, workload string, sch Scheme, an
 		Speculator:       sch.speculator(),
 		PerfCloud:        pc,
 		BlockBytes:       mixBlockBytes,
-		Tracer:           tr,
+		Tracer:           ob.tr,
 	})
-	eng.SetGroundTruth(tb.Truth)
 	inputBytes := float64(cfg.Tasks) * mixBlockBytes
 	tb.MustInput("input", inputBytes)
 	if antagonists {
@@ -216,38 +203,26 @@ func fig12Run(cfg VariabilityConfig, seed int64, workload string, sch Scheme, an
 		}
 		return a
 	}
-	finish := func(jct float64) (float64, trace.PhaseTotals, *obs.Scorecard, *obs.AlertSummary) {
-		var pt trace.PhaseTotals
-		if tr != nil {
-			pt = tr.Totals()
-			var events []obs.Event
-			if col != nil {
-				events = col.Events()
-			}
-			writeRunTrace(traceName, tr, events)
-		}
-		var sc *obs.Scorecard
-		if scoring && antagonists {
-			sc = scoreRun(tb, col, sch.Name, tb.Eng.Clock().Seconds())
-		}
-		return jct, pt, sc, alertSummaryFor(eng)
-	}
+	var jct float64
 	if sch.Clones <= 1 {
 		c := submit()
 		if !tb.Eng.RunUntil(c.Done, cfg.Limit) {
 			panic(fmt.Sprintf("experiments: fig12 %s/%s stuck", workload, sch.Name))
 		}
-		return finish(c.JCT())
+		jct = c.JCT()
+	} else {
+		clones := make([]straggler.Clone, 0, sch.Clones)
+		for i := 0; i < sch.Clones; i++ {
+			clones = append(clones, submit())
+		}
+		g := tb.Dolly.Watch(workload, clones...)
+		if !tb.Eng.RunUntil(g.Done, cfg.Limit) {
+			panic(fmt.Sprintf("experiments: fig12 %s/%s clone race stuck", workload, sch.Name))
+		}
+		jct = g.JCT()
 	}
-	clones := make([]straggler.Clone, 0, sch.Clones)
-	for i := 0; i < sch.Clones; i++ {
-		clones = append(clones, submit())
-	}
-	g := tb.Dolly.Watch(workload, clones...)
-	if !tb.Eng.RunUntil(g.Done, cfg.Limit) {
-		panic(fmt.Sprintf("experiments: fig12 %s/%s clone race stuck", workload, sch.Name))
-	}
-	return finish(g.JCT())
+	pt, sc, as := ob.finish(tb, sch.Name, traceName, antagonists)
+	return jct, pt, sc, as
 }
 
 // Table renders the Figure 12 box-plot statistics.
@@ -262,7 +237,7 @@ func (r Fig12Result) Table() *trace.Table {
 }
 
 // ScorecardTable renders the merged per-row detection scorecards (empty
-// unless the run had SetScorecards enabled).
+// unless the run had Observe.Scorecards set).
 func (r Fig12Result) ScorecardTable() *trace.Table {
 	var cards []*obs.Scorecard
 	for _, row := range r.Rows {
@@ -272,7 +247,7 @@ func (r Fig12Result) ScorecardTable() *trace.Table {
 }
 
 // AlertTable renders the merged per-row alert summaries (empty unless
-// the run had rules installed via SetAlertRules).
+// the run had rules in Observe.Alerts).
 func (r Fig12Result) AlertTable() *trace.Table {
 	var schemes []string
 	var sums []*obs.AlertSummary

@@ -63,7 +63,7 @@ func goldenDigests(seed int64) map[string]string {
 
 	add("ablation-detector", AblationDetector(seed).Table())
 	add("ablation-pearson", AblationPearson(seed).Table())
-	add("ablation-control", AblationControl(seed).Table())
+	add("ablation-control", AblationControl(seed, Observers{}).Table())
 	add("ablation-ewma", AblationEWMA(seed).Table())
 	add("extension-heterogeneous", Heterogeneous(seed).Table())
 	add("extension-migration", Migration(seed).Table())

@@ -27,12 +27,12 @@ func scoreTestMix() LargeScaleConfig {
 // produce bit-identical JCTs and efficiency — scoring is a pure
 // observer of the audit-event stream.
 func TestScorecardsDoNotChangeResults(t *testing.T) {
+	t.Parallel()
 	cfg := scoreTestMix()
 	schemes := []Scheme{SchemeLATE(), SchemePerfCloud()}
 	off := Fig11With(cfg, schemes)
 
-	prev := SetScorecards(true)
-	defer SetScorecards(prev)
+	cfg.Observe.Scorecards = true
 	on := Fig11With(cfg, schemes)
 
 	// Strip the scorecards; everything else must match exactly.
@@ -57,9 +57,9 @@ func TestScorecardsDoNotChangeResults(t *testing.T) {
 // scorecards, including the rendered string form the CI smoke job
 // byte-compares.
 func TestScorecardsDeterministic(t *testing.T) {
-	prev := SetScorecards(true)
-	defer SetScorecards(prev)
+	t.Parallel()
 	cfg := scoreTestMix()
+	cfg.Observe.Scorecards = true
 	schemes := []Scheme{SchemePerfCloud()}
 	a := Fig11With(cfg, schemes)
 	b := Fig11With(cfg, schemes)
@@ -84,8 +84,7 @@ func TestScorecardsDeterministic(t *testing.T) {
 // The mix is the larger smallMix-sized one — the 2-server scoreTestMix
 // is too light to push any deviation signal over its threshold.
 func TestScorecardGradesSchemes(t *testing.T) {
-	prev := SetScorecards(true)
-	defer SetScorecards(prev)
+	t.Parallel()
 	cfg := LargeScaleConfig{
 		Seed:             1,
 		Servers:          3,
@@ -96,6 +95,7 @@ func TestScorecardGradesSchemes(t *testing.T) {
 		Streams:          2,
 		InterarrivalSec:  4,
 		Limit:            2 * time.Hour,
+		Observe:          Observers{Scorecards: true},
 	}
 	r := Fig11With(cfg, []Scheme{SchemeLATE(), SchemePerfCloud()})
 
@@ -132,8 +132,7 @@ func TestScorecardGradesSchemes(t *testing.T) {
 // TestFig12Scorecards checks the merged per-row cards of the repetition
 // experiment.
 func TestFig12Scorecards(t *testing.T) {
-	prev := SetScorecards(true)
-	defer SetScorecards(prev)
+	t.Parallel()
 	cfg := VariabilityConfig{
 		Seed:             3,
 		Servers:          2,
@@ -143,6 +142,7 @@ func TestFig12Scorecards(t *testing.T) {
 		Streams:          2,
 		Tasks:            10,
 		Limit:            time.Hour,
+		Observe:          Observers{Scorecards: true},
 	}
 	r := Fig12With(cfg, []Scheme{SchemePerfCloud()})
 	row := r.Row("terasort", "PerfCloud")
@@ -167,6 +167,7 @@ func TestFig12Scorecards(t *testing.T) {
 // AddAntagonist booted: name disambiguation, server, harm channel and
 // burst schedule.
 func TestGroundTruthRegistration(t *testing.T) {
+	t.Parallel()
 	cfg := scoreTestMix()
 	tb := NewTestbed(TestbedConfig{Seed: cfg.Seed, Servers: cfg.Servers, WorkersPerServer: 2})
 	placeAntagonists(tb, cfg)

@@ -141,23 +141,6 @@ func (ft *FleetTelemetry) Sample(nowSec float64) {
 	}
 }
 
-// Locator returns the rollup locate function for this fleet: server id →
-// (tick shard, availability zone), the keys hierarchical event rollups
-// (obs.NewRollupSink) aggregate under.
-func (ft *FleetTelemetry) Locator() func(server string) (shard, zone string, ok bool) {
-	return func(server string) (string, string, bool) {
-		si := ft.clus.ShardOf(server)
-		if si < 0 {
-			return "", "", false
-		}
-		zone := ""
-		if ft.cm != nil {
-			zone, _, _ = ft.cm.ServerLocation(server)
-		}
-		return strconv.Itoa(si), zone, true
-	}
-}
-
 // FleetTelemetry wires fleet-scale telemetry over the testbed's cluster
 // and cloud manager.
 func (tb *Testbed) FleetTelemetry(reg *obs.Registry, sr *obs.SeriesRegistry) *FleetTelemetry {

@@ -9,6 +9,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"perfcloud/internal/cloud"
@@ -35,7 +36,8 @@ type TestbedConfig struct {
 	// Speculator belongs to this testbed alone: speculators keep per-call
 	// scratch, so concurrent testbeds must not share one.
 	Speculator exec.Speculator
-	// PerfCloud deploys the node managers when non-nil.
+	// PerfCloud deploys the node managers when non-nil. Its alert
+	// engine, if any, is given the testbed's ground truth.
 	PerfCloud *core.Config
 	// ServerConfig overrides the per-server resource models.
 	ServerConfig *cluster.ServerConfig
@@ -74,6 +76,18 @@ type Testbed struct {
 	// what the simulator knows to be true.
 	Truth *obs.GroundTruth
 }
+
+// healthLayer is the optional process-wide engine self-profiling layer:
+// wall-clock timers of the simulator itself, never folded into results.
+var healthLayer atomic.Pointer[obs.Health]
+
+// SetHealth installs (or, with nil, removes) the health layer attached
+// to every subsequent testbed: cluster grant/advance timers, the
+// node managers' monitor timer and the telemetry sampling timer.
+func SetHealth(h *obs.Health) { healthLayer.Store(h) }
+
+// healthRef returns the installed health layer (nil when off).
+func healthRef() *obs.Health { return healthLayer.Load() }
 
 // NewTestbed builds and wires a testbed: worker VMs are spread evenly
 // across servers (as the paper's virtual Hadoop clusters are), executors
@@ -163,6 +177,7 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 	}
 	if cfg.PerfCloud != nil {
 		tb.Sys = core.Attach(tb.Eng, tb.Clus, tb.CM, *cfg.PerfCloud)
+		cfg.PerfCloud.Alerts.SetGroundTruth(tb.Truth)
 	}
 	trackCluster(tb.Clus)
 	if cfg.Tracer != nil {

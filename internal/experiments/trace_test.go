@@ -31,11 +31,11 @@ func traceTestMix() LargeScaleConfig {
 // and on and requires bit-for-bit identical JCTs and efficiency: the
 // tracer must be a pure observer of the simulation.
 func TestTracingDoesNotChangeJCTs(t *testing.T) {
+	t.Parallel()
 	cfg := traceTestMix()
 	off := runMix(cfg, SchemePerfCloud(), true)
 
-	SetTraceDir(t.TempDir())
-	defer SetTraceDir("")
+	cfg.Observe.TraceDir = t.TempDir()
 	on := runMix(cfg, SchemePerfCloud(), true)
 
 	if len(off.JCTs) != len(on.JCTs) {
@@ -61,6 +61,7 @@ func TestTracingDoesNotChangeJCTs(t *testing.T) {
 // DESIGN.md §5.5: two runs with the same seed produce byte-identical
 // Perfetto JSON, control-plane instants included.
 func TestSameSeedTracesAreByteIdentical(t *testing.T) {
+	t.Parallel()
 	run := func() []byte {
 		pc := ControllerConfig()
 		col := obs.NewCollector()

@@ -12,9 +12,9 @@ import (
 // consecutive samples can be minutes of simulated time apart: every
 // point carries its exact simulation timestamp (Clock.Seconds or trace
 // TimeSec), never a tick count. Fleet sharding means per-server series
-// are untenable at 10k servers; the Rollup folds per-server observations
-// into the topology hierarchy (shard, zone, cluster) so retained
-// cardinality is O(zones + shards), not O(servers).
+// are untenable at 10k servers, so fleet telemetry keys its series by
+// tick shard and zone: retained cardinality is O(zones + shards), not
+// O(servers).
 // Like every obs instrument, all types are nil-safe no-ops so telemetry
 // can be compiled out of a run by simply not wiring a registry.
 
@@ -54,31 +54,6 @@ func (s *Series) Append(t, v float64) {
 	defer s.mu.Unlock()
 	if last, ok := s.lastLocked(); ok && t < last.T {
 		panic("obs: series timestamps must be non-decreasing")
-	}
-	s.appendLocked(SeriesPoint{T: t, V: v})
-}
-
-// merge records a point, folding it into the newest retained point when
-// the timestamps match — how a Rollup combines many servers' samples
-// from the same interval into one aggregate point.
-func (s *Series) merge(t, v float64, fold func(old, new float64) float64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if last, ok := s.lastLocked(); ok {
-		if t < last.T {
-			panic("obs: series timestamps must be non-decreasing")
-		}
-		if t == last.T {
-			i := s.next - 1
-			if i < 0 {
-				i = len(s.buf) - 1
-			}
-			s.buf[i].V = fold(last.V, v)
-			return
-		}
 	}
 	s.appendLocked(SeriesPoint{T: t, V: v})
 }
@@ -298,111 +273,4 @@ func (r *SeriesRegistry) WriteJSON(w io.Writer, sinceSec float64, maxPoints int)
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
-}
-
-// Rollup folds per-server observations into the placement hierarchy:
-// one series per shard, one per zone, one for the whole cluster —
-// never one per server. Observations from different servers in the same
-// sampling interval share a timestamp and are merged (max by default:
-// the fleet-level question is "what is the worst deviation anywhere in
-// this shard/zone right now", and a mean over mostly-idle servers would
-// bury it). A nil Rollup ignores observations.
-type Rollup struct {
-	sr     *SeriesRegistry
-	name   string
-	locate func(server string) (shard, zone string, ok bool)
-	fold   func(old, new float64) float64
-
-	mu      sync.Mutex
-	cluster *Series
-	shards  map[string]*Series
-	zones   map[string]*Series
-}
-
-// MaxFold keeps the larger value — the default Rollup merge.
-func MaxFold(old, new float64) float64 {
-	if new > old {
-		return new
-	}
-	return old
-}
-
-// SumFold adds values — for rolling up additive quantities (counts).
-func SumFold(old, new float64) float64 { return old + new }
-
-// NewRollup creates a rollup writing into sr under the given series
-// name. locate maps a server id to its shard and zone keys; servers it
-// cannot place still fold into the cluster series. fold nil = MaxFold.
-func NewRollup(sr *SeriesRegistry, name string, locate func(server string) (shard, zone string, ok bool), fold func(old, new float64) float64) *Rollup {
-	if sr == nil {
-		return nil
-	}
-	if fold == nil {
-		fold = MaxFold
-	}
-	return &Rollup{
-		sr: sr, name: name, locate: locate, fold: fold,
-		cluster: sr.Series(name),
-		shards:  make(map[string]*Series),
-		zones:   make(map[string]*Series),
-	}
-}
-
-// Observe folds one server's sample at simulation time t into the
-// cluster, shard and zone series.
-func (r *Rollup) Observe(server string, t, v float64) {
-	if r == nil {
-		return
-	}
-	r.cluster.merge(t, v, r.fold)
-	if r.locate == nil {
-		return
-	}
-	shard, zone, ok := r.locate(server)
-	if !ok {
-		return
-	}
-	r.level(r.shards, "shard", shard).merge(t, v, r.fold)
-	r.level(r.zones, "zone", zone).merge(t, v, r.fold)
-}
-
-func (r *Rollup) level(cache map[string]*Series, label, key string) *Series {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := cache[key]
-	if s == nil {
-		s = r.sr.Series(r.name, Label{Key: label, Value: key})
-		cache[key] = s
-	}
-	return s
-}
-
-// RollupSink adapts the event stream to rollups: each sample event's
-// deviation signals fold into per-channel hierarchies. Wire it into a
-// MultiSink next to the JSONL/ring sinks; non-sample events pass
-// through untouched. A nil sink ignores everything.
-type RollupSink struct {
-	IO  *Rollup // iowait deviation, max-merged
-	CPU *Rollup // CPI deviation, max-merged
-}
-
-// NewRollupSink builds the two standard deviation rollups
-// (dev_iowait, dev_cpi) over the given locator.
-func NewRollupSink(sr *SeriesRegistry, locate func(server string) (shard, zone string, ok bool)) *RollupSink {
-	if sr == nil {
-		return nil
-	}
-	return &RollupSink{
-		IO:  NewRollup(sr, "dev_iowait", locate, MaxFold),
-		CPU: NewRollup(sr, "dev_cpi", locate, MaxFold),
-	}
-}
-
-// Emit implements Sink.
-func (s *RollupSink) Emit(e Event) {
-	if s == nil || e.Type != EventSample {
-		return
-	}
-	s.IO.Observe(e.Server, e.T, e.IowaitDev)
-	s.CPU.Observe(e.Server, e.T, e.CPIDev)
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -168,77 +167,6 @@ func TestSeriesRegistryWriteJSON(t *testing.T) {
 	}
 	if len(out.Series[0].Points) > 2 {
 		t.Fatalf("maxPoints=2 returned %d points", len(out.Series[0].Points))
-	}
-}
-
-func TestRollupHierarchy(t *testing.T) {
-	r := NewSeriesRegistry(16)
-	locate := func(server string) (string, string, bool) {
-		switch server {
-		case "s0", "s1":
-			return "0", "zone-0", true
-		case "s2":
-			return "1", "zone-1", true
-		}
-		return "", "", false
-	}
-	ru := NewRollup(r, "dev_iowait", locate, MaxFold)
-	// Same interval (t=10), three servers: max must win at each level.
-	ru.Observe("s0", 10, 1)
-	ru.Observe("s1", 10, 5)
-	ru.Observe("s2", 10, 3)
-	ru.Observe("unknown", 10, 9) // unlocatable: cluster only
-	ru.Observe("s0", 20, 2)
-
-	get := func(key string) []SeriesPoint {
-		switch key {
-		case "cluster":
-			return r.Series("dev_iowait").Points()
-		case "shard0":
-			return r.Series("dev_iowait", Label{Key: "shard", Value: "0"}).Points()
-		case "zone0":
-			return r.Series("dev_iowait", Label{Key: "zone", Value: "zone-0"}).Points()
-		case "zone1":
-			return r.Series("dev_iowait", Label{Key: "zone", Value: "zone-1"}).Points()
-		}
-		return nil
-	}
-	cl := get("cluster")
-	if len(cl) != 2 || cl[0] != (SeriesPoint{T: 10, V: 9}) || cl[1] != (SeriesPoint{T: 20, V: 2}) {
-		t.Fatalf("cluster series = %v", cl)
-	}
-	if sh := get("shard0"); len(sh) != 2 || sh[0].V != 5 {
-		t.Fatalf("shard 0 series = %v", sh)
-	}
-	if z := get("zone0"); len(z) != 2 || z[0].V != 5 || z[1].V != 2 {
-		t.Fatalf("zone-0 series = %v", z)
-	}
-	if z := get("zone1"); len(z) != 1 || z[0].V != 3 {
-		t.Fatalf("zone-1 series = %v", z)
-	}
-	// Cardinality is levels, not servers: cluster + 2 shards + 2 zones.
-	if got := len(r.Keys()); got != 5 {
-		t.Fatalf("rollup created %d series, want 5: %v", got, r.Keys())
-	}
-
-	var nilRu *Rollup
-	nilRu.Observe("s0", 1, 1) // must not panic
-}
-
-func TestRollupSink(t *testing.T) {
-	r := NewSeriesRegistry(8)
-	sink := NewRollupSink(r, func(string) (string, string, bool) { return "0", "zone-0", true })
-	sink.Emit(Event{T: 10, Type: EventSample, Server: "s0", IowaitDev: 4, CPIDev: 0.5})
-	sink.Emit(Event{T: 10, Type: EventCap, Server: "s0", VM: "fio"}) // ignored
-	io := r.Series("dev_iowait").Points()
-	cpu := r.Series("dev_cpi").Points()
-	if len(io) != 1 || io[0].V != 4 || len(cpu) != 1 || cpu[0].V != 0.5 {
-		t.Fatalf("rollup sink recorded io=%v cpu=%v", io, cpu)
-	}
-	for _, k := range r.Keys() {
-		if strings.Contains(k, `server=`) {
-			t.Fatalf("rollup sink created a per-server series: %v", r.Keys())
-		}
 	}
 }
 
