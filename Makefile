@@ -16,11 +16,14 @@ test:
 # from ticking goroutines while HTTP handlers snapshot them), the
 # daemon that serves those handlers, and the data plane (executors,
 # frameworks, speculators) that parallel experiment repetitions drive.
+# The cluster's shard fan-out — the only concurrent grant path — is then
+# raced ten more times, so a rare interleaving gets more chances to show.
 race:
 	go test -race ./internal/cluster/... ./internal/sim/... \
 		./internal/experiments/... ./internal/core/... ./internal/obs/... \
 		./internal/exec/... ./internal/mapreduce/... ./internal/spark/... \
 		./internal/straggler/... ./cmd/perfcloudd/...
+	go test -race -count=10 -run 'ParallelTick|Sharded' ./internal/cluster
 
 # check is the full local gate: vet, build, tests, and the race tier.
 # Benchmarks are tracked separately — run `make bench` to measure the

@@ -32,7 +32,7 @@
 // every repetition writes a Perfetto/chrome-trace JSON timeline into the
 // directory, and the result rows carry per-phase time attribution.
 //
-// -parallel bounds both concurrency layers — per-server tick work inside a
+// -parallel bounds both concurrency layers — per-shard tick work inside a
 // cluster and independent experiment repetitions. 0 (the default) uses
 // GOMAXPROCS; 1 forces fully sequential execution. Either setting produces
 // bit-for-bit identical tables for the same seed. Both layers draw workers

@@ -7,8 +7,8 @@
 // Run with: go run ./examples/large_scale
 //
 // The baseline and the four scheme mixes are independent engines, so they
-// run concurrently (one per core) and each cluster fans its per-server
-// tick work out to a bounded pool; pass -parallel 1 to force the fully
+// run concurrently (one per core) and each cluster fans its tick work out
+// across its server shards; pass -parallel 1 to force the fully
 // sequential mode — the tables are bit-for-bit identical either way.
 package main
 

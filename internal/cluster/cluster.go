@@ -709,8 +709,8 @@ type Cluster struct {
 	// load heap) revalidate against it instead of rescanning.
 	placeSeq uint64
 
-	// workers bounds the goroutines used for the parallel grant phase:
-	// 1 forces the sequential mode, 0 defers to the package default.
+	// workers bounds the grant phase's fan-out across live shards: 1
+	// forces the sequential mode, 0 defers to the package default.
 	workers int
 
 	// ticks counts Tick invocations. It is the time base for O(1)
@@ -772,10 +772,11 @@ func New() *Cluster {
 	}
 }
 
-// SetTickWorkers bounds the worker pool used to run the per-server grant
-// phase: 1 selects the deterministic sequential mode, 0 (the default)
-// defers to SetDefaultTickWorkers / GOMAXPROCS. Both modes produce
-// bit-for-bit identical simulations; see DESIGN.md §5.1.
+// SetTickWorkers bounds the workers the grant phase fans out to across
+// live shards (a shard's own servers always run inline): 1 selects the
+// deterministic sequential mode, 0 (the default) defers to
+// SetDefaultTickWorkers / GOMAXPROCS. Both modes produce bit-for-bit
+// identical simulations; see DESIGN.md §5.1.
 func (c *Cluster) SetTickWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -1002,23 +1003,23 @@ func (c *Cluster) EachAppVM(appID string, fn func(*VM)) {
 }
 
 // Tick advances every server's resource pipeline by one tick: the
-// server-local grant phases fan out across workers drawn from the
-// process-wide shared slot pool (every server's state — resource models,
-// RNG streams, cgroups — is goroutine-private, so any interleaving yields
-// the same result), then the advance phase hands grants to workloads
-// sequentially in placement order, because framework executors may mutate
-// task state shared across servers (speculative and cloned attempts of
-// one task run on several machines). Drawing from the shared pool keeps
-// nested fan-outs — concurrent experiment repetitions each ticking their
-// own cluster — from oversubscribing GOMAXPROCS.
+// server-local grant phases fan out across live shards, with workers
+// drawn from the process-wide shared slot pool (every server's state —
+// resource models, RNG streams, cgroups — is goroutine-private, so any
+// interleaving yields the same result), then the advance phase hands
+// grants to workloads sequentially in placement order, because framework
+// executors may mutate task state shared across servers (speculative and
+// cloned attempts of one task run on several machines). Drawing from the
+// shared pool keeps nested fan-outs — concurrent experiment repetitions
+// each ticking their own cluster — from oversubscribing GOMAXPROCS.
 //
 // Only active servers are visited, so a tick costs O(active servers +
-// shards) (DESIGN.md §5.7). The grant fan-out is two-level: shards with
-// any active server fan out across the shared slot pool, and each shard
-// fans its own active servers out again — so a one-shard cluster keeps
-// per-server parallelism, and a 10k-server cluster with three busy shards
-// parallelizes across and within them. The advance sweep then walks the
-// active servers in creation order and parks freshly quiescent ones.
+// shards) (DESIGN.md §5.7). The grant fan-out is one-level: shards with
+// any active server fan out across the pool, and each shard grants its
+// own servers inline. A one-shard cluster (up to 64 servers) therefore
+// ticks on the caller's goroutine and never touches the pool. The
+// advance sweep then walks the active servers in creation order and
+// parks freshly quiescent ones.
 func (c *Cluster) Tick(clk *sim.Clock) {
 	tickSec := clk.TickSeconds()
 	c.ticks++
@@ -1033,11 +1034,10 @@ func (c *Cluster) Tick(clk *sim.Clock) {
 		}
 	}
 	c.statShardSkips += uint64(len(c.shards) - len(c.liveShards))
-	workers := c.TickWorkers()
 	live := c.liveShards
 	tg := c.tGrant.Begin()
-	sim.ForEachShared(len(live), workers, func(k int) {
-		c.grantShard(&c.shards[live[k]], tickSec, workers)
+	sim.ForEachShared(len(live), c.TickWorkers(), func(k int) {
+		c.grantShard(&c.shards[live[k]], tickSec)
 	})
 	c.tGrant.End(tg)
 	// The advance sweep revisits exactly the servers the grant fan-out

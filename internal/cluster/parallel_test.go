@@ -35,12 +35,15 @@ func srvID(i int) string { return "server-" + string(rune('0'+i)) }
 
 // TestParallelTickMatchesSequential runs the same cluster with 1 and 4 tick
 // workers and requires identical grant histories — the grant phase must be
-// deterministic under any goroutine interleaving. With -race this test also
-// exercises the concurrent per-server pipeline for data races (explicit
-// worker counts matter: on a single-core host GOMAXPROCS is 1).
+// deterministic under any goroutine interleaving. One server per shard
+// makes the 4-worker run fan out (a shard grants its own servers inline).
+// With -race this test also exercises the concurrent shard fan-out for data
+// races (explicit worker counts matter: on a single-core host GOMAXPROCS
+// is 1).
 func TestParallelTickMatchesSequential(t *testing.T) {
 	run := func(workers int) [][]Grant {
 		eng, c, loads := buildParallelCluster(5, 4)
+		c.shardCount = 5
 		c.SetTickWorkers(workers)
 		eng.Run(50)
 		out := make([][]Grant, len(loads))
@@ -53,6 +56,27 @@ func TestParallelTickMatchesSequential(t *testing.T) {
 	parallel := run(4)
 	if !reflect.DeepEqual(sequential, parallel) {
 		t.Fatal("parallel tick grants differ from sequential")
+	}
+}
+
+// TestOneShardTickSkipsPool pins that a one-shard cluster ticks on the
+// caller's goroutine: a busy 15-server cluster asks the shared slot pool
+// for nothing, however many tick workers it may use. Not parallel: the
+// pool is process-wide.
+func TestOneShardTickSkipsPool(t *testing.T) {
+	eng, c, _ := buildParallelCluster(15, 4)
+	c.SetTickWorkers(4)
+	eng.Run(1)
+	if got := c.ShardCount(); got != 1 {
+		t.Fatalf("ShardCount = %d, want 1", got)
+	}
+	before := sim.SharedPool().Stats().TryAcquires
+	eng.Run(100)
+	if got := c.ActiveServers(); got != 15 {
+		t.Fatalf("ActiveServers = %d, want 15 busy servers", got)
+	}
+	if after := sim.SharedPool().Stats().TryAcquires; after != before {
+		t.Errorf("100 one-shard ticks made %d pool TryAcquire calls, want 0", after-before)
 	}
 }
 

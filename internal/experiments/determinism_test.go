@@ -25,10 +25,12 @@ func setParallel(t *testing.T, tickWorkers, runs int) {
 }
 
 // TestParallelMatchesSequential is the determinism contract of the
-// parallel simulation core: for the same seed, the concurrent tick phase
-// and concurrent experiment repetitions must produce results bit-for-bit
-// identical to the sequential mode. Run with -race to also exercise the
-// data-race freedom of the grant phase and the run fan-out.
+// parallel simulation core: for the same seed, concurrent experiment
+// repetitions must produce results bit-for-bit identical to the
+// sequential mode. Run with -race to also exercise the data-race freedom
+// of the run fan-out. These testbeds are one shard each, so their ticks
+// run inline; TestParallelTickMatchesSequential (cluster) covers the
+// shard fan-out of the grant phase.
 func TestParallelMatchesSequential(t *testing.T) {
 	const s = seed
 
