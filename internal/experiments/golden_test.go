@@ -10,8 +10,13 @@ import (
 	"path/filepath"
 	"sort"
 	"testing"
+	"time"
 
+	"perfcloud/internal/cloud"
+	"perfcloud/internal/cluster"
+	"perfcloud/internal/mapreduce"
 	"perfcloud/internal/trace"
+	"perfcloud/internal/workloads"
 )
 
 // updateGolden rewrites testdata/golden_digests.json from the current code
@@ -25,9 +30,10 @@ var goldenSeeds = []int64{1, 42}
 
 // goldenDigests renders every quick config at one seed — the tables
 // `perfbench -fig all -quick -seed N` prints, Figs 1-12 plus the
-// ablations and extensions — and returns the sha256 of each rendered
-// table, keyed "seed=N/name". The Fig 11 and Fig 12 sizes mirror
-// perfbench's -quick settings.
+// ablations and extensions — plus the planet-shaped fleet run of
+// planetDigest, and returns the sha256 of each rendered table, keyed
+// "seed=N/name". The Fig 11 and Fig 12 sizes mirror perfbench's -quick
+// settings.
 func goldenDigests(seed int64) map[string]string {
 	out := map[string]string{}
 	add := func(name string, t *trace.Table) {
@@ -67,7 +73,64 @@ func goldenDigests(seed int64) map[string]string {
 	add("ablation-ewma", AblationEWMA(seed).Table())
 	add("extension-heterogeneous", Heterogeneous(seed).Table())
 	add("extension-migration", Migration(seed).Table())
+	out[fmt.Sprintf("seed=%d/planet", seed)] = planetDigest(seed)
 	return out
+}
+
+// planetDigest pins a fleet boot, which no figure exercises: a 16-server
+// Hadoop region inside 320 servers that host 20,000 VMs placed by
+// cloud.Manager.Boot, almost all of which never run anything. Two
+// terasorts run on the hot region. Between them, more idle tenants boot
+// onto the long-parked cold fleet, and after further idle ticks a few
+// cold VMs — next to those late tenants and elsewhere — run a
+// disk-heavy fio workload through the second job, so the disk's idle
+// jitter draws replayed for the parked stretches reach their counters.
+// It returns the sha256 of the JCTs and every VM's cgroup counters in
+// placement order.
+func planetDigest(seed int64) string {
+	const (
+		servers, hot, vms = 320, 16, 20000
+		lateTenants       = 6
+	)
+	tb := NewTestbed(TestbedConfig{Seed: seed, Servers: hot, WorkersPerServer: 8})
+	tb.MustInput("planet-input", 640<<20)
+	tb.CM.ProvisionServers(servers - hot)
+	boot := func(i int, srvID string) {
+		spec := cloud.VMSpec{Name: fmt.Sprintf("tenant-%06d", i), ServerID: srvID}
+		if _, err := tb.CM.Boot(spec); err != nil {
+			panic(err)
+		}
+	}
+	for i := tb.Clus.NumVMs(); i < vms; i++ {
+		boot(i, "")
+	}
+	h := sha256.New()
+	job := func() {
+		j := tb.RunMR(mapreduce.Terasort("planet-input", 8), time.Hour)
+		fmt.Fprintf(h, "jct %v\n", j.JCT())
+	}
+	job()
+	// Late tenants land on parked cold servers after hundreds of elided
+	// ticks; their servers then idle on for a while before fio starts.
+	cold := func(i int) string { return fmt.Sprintf("server-%d", hot+i*(servers-hot)/lateTenants) }
+	for i := 0; i < lateTenants; i++ {
+		boot(vms+i, cold(i))
+	}
+	tb.Eng.Run(50)
+	fio := func(srvID string) {
+		w := workloads.NewFioRandRead(workloads.BurstPattern{On: 5 * time.Second, Off: 5 * time.Second})
+		w.SetLimits(workloads.Limits{Ops: 100000})
+		tb.Clus.FindServer(srvID).VMs()[0].SetWorkload(w)
+	}
+	for i := 0; i < lateTenants; i += 2 {
+		fio(cold(i))
+	}
+	fio(fmt.Sprintf("server-%d", servers-1))
+	job()
+	tb.Clus.EachVM(func(v *cluster.VM) {
+		fmt.Fprintf(h, "%s %+v\n", v.ID(), v.Cgroup().Snapshot())
+	})
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestGoldenDigests pins the simulator's behaviour across commits: every
