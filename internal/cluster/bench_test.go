@@ -25,7 +25,7 @@ func BenchmarkQuiescentCluster(b *testing.B) {
 		}
 	}
 	clk := eng.Clock()
-	cl.Tick(clk) // settle scratch buffers and quiescence state
+	cl.Tick(clk) // build the shard partition; the idle servers are born parked
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -97,8 +97,8 @@ func BenchmarkShardScale(b *testing.B) {
 				}
 			}
 			clk := eng.Clock()
-			cl.Tick(clk) // first tick parks every idle server
-			cl.Tick(clk) // second settles scratch buffers and arms the memos
+			cl.Tick(clk) // first tick wakes the busy servers; idle ones are born parked
+			cl.Tick(clk) // second runs the fused steady path the loop measures
 			if got := cl.ActiveServers(); got != busy {
 				b.Fatalf("active servers = %d, want %d", got, busy)
 			}

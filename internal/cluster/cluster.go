@@ -262,20 +262,32 @@ type Server struct {
 	// stays valid and per-id lookups can be skipped entirely.
 	epoch uint64
 
-	// quiescent records that the last fully processed tick found every VM
-	// idle, meaning the grant phase granted nothing and left no trace
-	// beyond the disk's idle jitter draws (see DESIGN.md §5.2). The tick
-	// then parks the server outside the active set until a dirtying event
-	// wakes it; catchUp replays the elided jitter draws before the next
-	// full tick, keeping results bit-for-bit identical. Any mutation that
-	// could change a tick's outcome (workload attach, placement change,
-	// cap change) clears it via MarkDirty, forcing one full re-evaluation.
+	// quiescent records that the server's grant phase would grant nothing
+	// and leave no trace beyond the disk's idle jitter draws (see
+	// DESIGN.md §5.2): either the last fully processed tick found every VM
+	// idle, or the server has never granted and hosts only VMs that never
+	// had a workload. A quiescent server is parked outside the active set
+	// until a dirtying event wakes it; catchUp replays the elided jitter
+	// draws before the next full tick, keeping results bit-for-bit
+	// identical. Any mutation that could change a tick's outcome (workload
+	// attach, cap change, and placement changes other than an idle VM
+	// added to a never-granted server) clears it via MarkDirty, forcing
+	// one full re-evaluation.
 	quiescent bool
 
+	// granted records that the grant phase has run at least once. Until
+	// then the server's resource models are fresh — no memos, no keep
+	// sets, AR(1) state only for VMs whose idle draws were replayed — so
+	// AddVM can extend its parked stretch instead of waking it.
+	granted bool
+
 	// skipped counts grant-phase ticks elided while parked; skipIDs
-	// snapshots the VM ids present during those ticks (placement changes
-	// dirty the server, so the set is constant across a skipped stretch
-	// even if it changes before the server next processes a full tick).
+	// snapshots the VM ids present during those ticks. A parked stretch
+	// runs under the server's current VM list, so the snapshot is taken
+	// only when the stretch ends — by a dirtying event, which placement
+	// changes raise before they edit the list, or by addParked — and the
+	// set is constant across the stretch even if it changes before the
+	// server next processes a full tick.
 	skipped int
 	skipIDs []string
 
@@ -386,7 +398,9 @@ func (s *Server) fastPathRaw() obs.FastPathSnapshot {
 	return fp
 }
 
-// bumpEpoch records a placement change and re-dirties the pipeline.
+// bumpEpoch records a placement change and re-dirties the pipeline. Call
+// it before editing the VM list: a parked server snapshots the VM set of
+// its elided stretch as it is dirtied (see activate).
 func (s *Server) bumpEpoch() {
 	s.epoch++
 	s.quiescent = false
@@ -394,16 +408,64 @@ func (s *Server) bumpEpoch() {
 	s.activate()
 }
 
+// addParked places an idle VM on a parked server that has never
+// granted, without waking it. Ticking the server would be bit-identical
+// to leaving it parked: the CPU allocator is a pure function of its
+// inputs, the memory system's all-idle branch draws nothing, the disk's
+// all-idle branch draws one AR(1) step per VM in placement order — what
+// catchUp replays — and on fresh models the tick's other effects are
+// empty (zero grants leave the cgroups untouched, lastGrant is already
+// zero, the keep-set GC has nothing to drop) or are only memo and
+// fast-path counters. So the stretch elided so far is settled under the
+// old VM set and a new one starts now, moving the shard's sumSkipFrom
+// and aggregate with it; at boot nothing has been elided and the VM is
+// simply appended.
+func (s *Server) addParked(v *VM) {
+	c := s.clus
+	if elided := c.ticks - s.skipFrom; elided > 0 {
+		s.snapshotSkipIDs()
+		s.skipped += int(elided)
+		s.statSkipped += elided
+		s.catchUp()
+		s.skipFrom = c.ticks
+		if c.partitionCurrent() {
+			sh := &c.shards[c.shardIndex(s.index)]
+			sh.sumSkipFrom += elided
+			sh.pull(s)
+		}
+	}
+	s.vms = append(s.vms, v)
+	s.epoch++
+}
+
+// snapshotSkipIDs records the VM ids of the parked stretch that is
+// ending: the server's VM list, which a stretch runs under unchanged.
+func (s *Server) snapshotSkipIDs() {
+	if cap(s.skipIDs) < len(s.vms) {
+		s.skipIDs = make([]string, 0, len(s.vms))
+	}
+	s.skipIDs = s.skipIDs[:0]
+	for _, v := range s.vms {
+		s.skipIDs = append(s.skipIDs, v.id)
+	}
+}
+
 // activate queues an inactive server for reactivation at the start of
-// the next tick. Dirtying events arrive from sequential phases only
-// (framework ticks, workload Advance, controller actuation, test setup)
-// — never from the parallel grant fan-out — so the queue needs no
-// synchronization. Draining at the tick boundary keeps mid-sweep wakes
-// from mutating the active bitset while it is being iterated.
+// the next tick, ending its parked stretch: if the stretch elided any
+// tick, its VM set is snapshotted now, before the dirtying change edits
+// the VM list, for catchUp to replay on wake. Dirtying events arrive from sequential
+// phases only (framework ticks, workload Advance, controller actuation,
+// test setup) — never from the parallel grant fan-out — so the queue
+// needs no synchronization. Draining at the tick boundary keeps
+// mid-sweep wakes from mutating the active bitset while it is being
+// iterated.
 func (s *Server) activate() {
 	c := s.clus
 	if c == nil || s.active || s.wakePending {
 		return
+	}
+	if c.ticks > s.skipFrom {
+		s.snapshotSkipIDs()
 	}
 	s.wakePending = true
 	c.wakes = append(c.wakes, s)
@@ -456,6 +518,7 @@ func (s *Server) FindVM(id string) *VM {
 // may mutate state shared across servers, such as a framework's task set —
 // is deferred to advancePhase.
 func (s *Server) grantPhase(tickSec float64) {
+	s.granted = true
 	n := len(s.vms)
 	if n == 0 {
 		// A server with no VMs is trivially quiescent: the pipeline has
@@ -661,10 +724,11 @@ func (s *Server) snapshotEpochs(tickSec float64) {
 }
 
 // catchUp replays the random draws of any skipped idle ticks before a
-// full grant phase runs, so the disk's seeded stream sits exactly where
-// a non-skipping run would have left it. It uses the VM set snapshotted
-// when the skipped stretch began: placement changes dirty the server and
-// end the stretch, so the snapshot is the set present throughout it.
+// full grant phase runs (or before addParked starts a new stretch), so
+// the disk's seeded stream sits exactly where a non-skipping run would
+// have left it. It uses the VM set snapshotted when the skipped stretch
+// began: placement changes end the stretch, so the snapshot is the set
+// present throughout it.
 func (s *Server) catchUp() {
 	if s.skipped == 0 {
 		return
@@ -806,6 +870,13 @@ func (c *Cluster) SetHealth(h *obs.Health) {
 
 // AddServer creates a server with the given id and configuration.
 // The rng factory seeds the server's stochastic resource models.
+//
+// The server is born parked: quiescent and outside the active set, with
+// its skipped stretch starting at the current tick, exactly as if the
+// tick had just deactivated it. A server with no VMs, or only idle VMs
+// added through AddVM, therefore never enters the tick and never sizes
+// its grant buffers; the first dirtying event wakes it like any parked
+// server.
 func (c *Cluster) AddServer(id string, cfg ServerConfig, rng *sim.RNG) *Server {
 	if c.FindServer(id) != nil {
 		panic(fmt.Sprintf("cluster: duplicate server %q", id))
@@ -815,23 +886,28 @@ func (c *Cluster) AddServer(id string, cfg ServerConfig, rng *sim.RNG) *Server {
 	// lands in or how many shards exist. Any repartition of the cluster
 	// therefore sees bit-identical random sequences.
 	s := &Server{
-		id:     id,
-		cfg:    cfg,
-		disk:   disk.New(cfg.Disk, rng.Streamf("disk/%s", id)),
-		cpu:    cpu.New(cfg.CPU),
-		mem:    memsys.New(cfg.Mem, rng.Streamf("memsys/%s", id)),
-		cache:  NewContentCache(16<<30, 120),
-		clus:   c,
-		index:  len(c.servers),
-		active: true,
+		id:        id,
+		cfg:       cfg,
+		disk:      disk.New(cfg.Disk, rng.Streamf("disk/%s", id)),
+		cpu:       cpu.New(cfg.CPU),
+		mem:       memsys.New(cfg.Mem, rng.Streamf("memsys/%s", id)),
+		cache:     NewContentCache(16<<30, 120),
+		clus:      c,
+		index:     len(c.servers),
+		quiescent: true,
+		skipFrom:  c.ticks,
 	}
+	c.inactive++
 	c.servers = append(c.servers, s)
 	c.srvByID[id] = s
 	c.placeSeq++
 	return s
 }
 
-// AddVM creates a VM on the given server.
+// AddVM creates a VM on the given server. A new VM has no workload, so
+// adding it to a parked server that has never granted and has no wake
+// queued leaves the server parked (see Server.addParked); on any other
+// server it is a dirtying placement change.
 func (c *Cluster) AddVM(server *Server, id string, vcpus, memBytes float64, prio Priority, appID string) *VM {
 	if _, dup := c.vmsByID[id]; dup {
 		panic(fmt.Sprintf("cluster: duplicate VM %q", id))
@@ -845,8 +921,12 @@ func (c *Cluster) AddVM(server *Server, id string, vcpus, memBytes float64, prio
 		cg:       cgroup.New(id),
 		server:   server,
 	}
-	server.vms = append(server.vms, v)
-	server.bumpEpoch()
+	if !server.active && !server.wakePending && !server.granted {
+		server.addParked(v)
+	} else {
+		server.bumpEpoch()
+		server.vms = append(server.vms, v)
+	}
 	c.vmsByID[id] = v
 	c.placeSeq++
 	return v
@@ -869,6 +949,8 @@ func (c *Cluster) MoveVM(vmID, serverID string) error {
 		return nil
 	}
 	src := v.server
+	src.bumpEpoch()
+	dst.bumpEpoch()
 	for i, u := range src.vms {
 		if u == v {
 			src.vms = append(src.vms[:i], src.vms[i+1:]...)
@@ -877,8 +959,6 @@ func (c *Cluster) MoveVM(vmID, serverID string) error {
 	}
 	dst.vms = append(dst.vms, v)
 	v.server = dst
-	src.bumpEpoch()
-	dst.bumpEpoch()
 	c.placeSeq++
 	return nil
 }
@@ -893,13 +973,13 @@ func (c *Cluster) RemoveVM(id string) {
 	}
 	delete(c.vmsByID, id)
 	srv := v.server
+	srv.bumpEpoch()
 	for i, u := range srv.vms {
 		if u == v {
 			srv.vms = append(srv.vms[:i], srv.vms[i+1:]...)
 			break
 		}
 	}
-	srv.bumpEpoch()
 	c.placeSeq++
 }
 

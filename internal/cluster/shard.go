@@ -8,11 +8,11 @@ import (
 
 // Sharded ticking (DESIGN.md §5.7). The server slice is partitioned into
 // contiguous, near-equal shards; an active bitset over the slice records
-// which servers still need per-tick visits. Servers whose last processed
-// tick proved quiescent leave the active set entirely — the tick loop
-// never touches them — and the cluster tick counter plus the PR 2 replay
-// machinery (Disk.AdvanceIdle via catchUp) settles the elided ticks in
-// O(1) bookkeeping when a dirtying event wakes them. A shard none of
+// which servers still need per-tick visits. Servers are born outside it,
+// and servers whose last processed tick proved quiescent leave it; the
+// tick loop never touches them, and the cluster tick counter plus the
+// replay machinery (Disk.AdvanceIdle via catchUp) settles the elided
+// ticks in O(1) bookkeeping when a dirtying event wakes them. A shard none of
 // whose servers are active is skipped wholesale, so Tick costs
 // O(active servers + shards), not O(total servers).
 //
@@ -214,19 +214,15 @@ func (c *Cluster) wake(s *Server, completed uint64) {
 }
 
 // deactivate removes a freshly quiescent server from the active set at
-// the end of the advance sweep: snapshot the VM ids present through the
-// upcoming skipped stretch (placement changes wake the server, so the
-// set is constant across it), record the deactivation tick, and pull the
-// server's counters into its shard so stats reads need not visit it.
+// the end of the advance sweep: record the deactivation tick, and pull
+// the server's counters into its shard so stats reads need not visit it.
+// The skipped stretch runs under the server's VM list until a dirtying
+// event ends it and snapshots it (Server.activate).
 func (c *Cluster) deactivate(s *Server) {
 	s.active = false
 	c.inactive++
 	c.activeBits[s.index>>6] &^= 1 << uint(s.index&63)
 	s.skipFrom = c.ticks
-	s.skipIDs = s.skipIDs[:0]
-	for _, v := range s.vms {
-		s.skipIDs = append(s.skipIDs, v.id)
-	}
 	si := c.shardIndex(s.index)
 	sh := &c.shards[si]
 	sh.active--

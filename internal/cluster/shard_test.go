@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -158,10 +159,11 @@ func TestShardActiveSetBookkeeping(t *testing.T) {
 		srv := c.AddServer(fmt.Sprintf("server-%d", s), DefaultServerConfig(), eng.RNG())
 		vms = append(vms, c.AddVM(srv, fmt.Sprintf("vm-%d", s), 2, 8<<30, LowPriority, ""))
 	}
-	if got := c.ActiveServers(); got != 9 {
-		t.Fatalf("fresh cluster ActiveServers = %d, want 9", got)
+	// Servers are born parked, and idle VMs leave them parked.
+	if got := c.ActiveServers(); got != 0 {
+		t.Fatalf("fresh all-idle cluster ActiveServers = %d, want 0", got)
 	}
-	eng.Run(3) // all idle: every server parks after its first processed tick
+	eng.Run(3)
 	if got := c.ActiveServers(); got != 0 {
 		t.Fatalf("all-idle cluster ActiveServers = %d, want 0", got)
 	}
@@ -189,5 +191,46 @@ func TestShardActiveSetBookkeeping(t *testing.T) {
 	}
 	if got := c.ActiveServers(); got != 1 {
 		t.Errorf("after re-parking ActiveServers = %d, want 1", got)
+	}
+}
+
+// TestFirstTickIsOActive gates the O(active) contract from the first
+// tick on: in a 1,008-server fleet where 1,000 servers host 20 idle VMs
+// each and 8 host one busy VM each, the first tick may allocate only what
+// the 8 busy servers and the shard bookkeeping need, not grant buffers,
+// allocator memos and AR(1) state for the idle fleet. The allocation
+// delta is taken within one run, so the bound holds on any machine. Not
+// parallel: runtime.MemStats counts the whole process.
+func TestFirstTickIsOActive(t *testing.T) {
+	const idle, busy, vmsPerServer = 1000, 8, 20
+	eng := sim.NewEngine(100*time.Millisecond, 5)
+	c := New()
+	c.SetTickWorkers(1)
+	for s := 0; s < idle+busy; s++ {
+		srv := c.AddServer(fmt.Sprintf("s%04d", s), DefaultServerConfig(), eng.RNG())
+		if s >= idle {
+			vm := c.AddVM(srv, fmt.Sprintf("s%04d-vm", s), 2, 8<<30, LowPriority, "")
+			vm.SetWorkload(&fakeWorkload{name: vm.ID(), demand: busyDemand()})
+			continue
+		}
+		for i := 0; i < vmsPerServer; i++ {
+			c.AddVM(srv, fmt.Sprintf("s%04d-vm%02d", s, i), 2, 8<<30, LowPriority, "")
+		}
+	}
+	if got := c.ActiveServers(); got != 0 {
+		t.Fatalf("before the first tick ActiveServers = %d, want 0 (busy wakes only queued)", got)
+	}
+	clk := eng.Clock()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c.Tick(clk)
+	runtime.ReadMemStats(&after)
+	if got := c.ActiveServers(); got != busy {
+		t.Fatalf("after the first tick ActiveServers = %d, want %d", got, busy)
+	}
+	const limit = 256 << 10
+	if bytes := after.TotalAlloc - before.TotalAlloc; bytes > limit {
+		t.Errorf("first tick allocated %d bytes in %d allocations, want at most %d",
+			bytes, after.Mallocs-before.Mallocs, limit)
 	}
 }
