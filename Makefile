@@ -75,9 +75,10 @@ bench-ratio:
 		| go run ./cmd/benchjson -ratio 'BenchmarkActiveServerTick,BenchmarkActiveServerTickDirty' -max-ratio 0.67
 
 # bench-suite times the full Fig 3-12 experiment suite end to end —
-# per-figure wall clock via perfbench -suite, plus the single-pass
-# BenchmarkFigSuite measurement — and merges both into BENCH_suite.json.
+# per-figure wall clock and allocations via perfbench -suite, plus the
+# single-pass BenchmarkFigSuite measurement with -benchmem — and merges
+# both into BENCH_suite.json.
 bench-suite:
 	go run ./cmd/perfbench -suite > /dev/null
-	go test -run='^$$' -bench=FigSuite -benchtime=1x \
+	go test -run='^$$' -bench=FigSuite -benchtime=1x -benchmem \
 		./internal/experiments | go run ./cmd/benchjson -o BENCH_suite.json

@@ -39,10 +39,11 @@
 // from one shared slot pool, so their product never oversubscribes the
 // machine.
 //
-// -suite runs the evaluation suite (Figs 3-12) and records wall-clock
-// per-figure timings, merged by name into the JSON file named by
+// -suite runs the evaluation suite (Figs 3-12) and records per-figure
+// wall clock and allocations, merged by name into the JSON file named by
 // -suitejson (default BENCH_suite.json, same schema as benchjson output:
-// Count 1, NsPerOp = elapsed nanoseconds).
+// Count 1, NsPerOp = elapsed nanoseconds, BytesPerOp and AllocsPerOp =
+// the process's runtime.MemStats TotalAlloc and Mallocs deltas).
 //
 // -cpuprofile and -memprofile write pprof profiles of the selected run,
 // for inspecting the simulation and monitoring hot loops with
@@ -202,14 +203,19 @@ func main() {
 	}
 	var timings []benchfmt.Result
 	timed := func(name string, fn func()) {
+		if !*suite {
+			fn()
+			return
+		}
+		var m0 runtime.MemStats
+		runtime.ReadMemStats(&m0)
 		t0 := time.Now()
 		fn()
-		if *suite {
-			timings = append(timings, benchfmt.Result{
-				Name: "FigSuite/" + name, Count: 1,
-				NsPerOp: float64(time.Since(t0).Nanoseconds()),
-			})
-		}
+		timings = append(timings, suiteResult("FigSuite/"+name, time.Since(t0), &m0))
+	}
+	var mStart runtime.MemStats
+	if *suite {
+		runtime.ReadMemStats(&mStart)
 	}
 	start := time.Now()
 
@@ -329,10 +335,7 @@ func main() {
 	}
 	elapsed := time.Since(start)
 	if *suite {
-		timings = append(timings, benchfmt.Result{
-			Name: "FigSuite/Total", Count: 1,
-			NsPerOp: float64(elapsed.Nanoseconds()),
-		})
+		timings = append(timings, suiteResult("FigSuite/Total", elapsed, &mStart))
 		prev, err := benchfmt.ReadFile(*suitejson)
 		if err == nil {
 			err = benchfmt.WriteFile(*suitejson, benchfmt.Merge(prev, timings))
@@ -351,6 +354,20 @@ func main() {
 		fmt.Fprint(os.Stderr, "health:\n"+hl.Summary())
 	}
 	fmt.Fprintf(os.Stderr, "perfbench: done in %v\n", elapsed.Round(time.Millisecond))
+}
+
+// suiteResult records one -suite measurement taken once (Count 1): the
+// elapsed wall clock, and the bytes and allocations the process made
+// since the before snapshot was read.
+func suiteResult(name string, elapsed time.Duration, before *runtime.MemStats) benchfmt.Result {
+	var after runtime.MemStats
+	runtime.ReadMemStats(&after)
+	return benchfmt.Result{
+		Name: name, Count: 1,
+		NsPerOp:     float64(elapsed.Nanoseconds()),
+		BytesPerOp:  int64(after.TotalAlloc - before.TotalAlloc),
+		AllocsPerOp: int64(after.Mallocs - before.Mallocs),
+	}
 }
 
 // printFastPaths reports how much simulation work the fast paths

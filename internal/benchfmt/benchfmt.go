@@ -14,9 +14,9 @@ import (
 )
 
 // Result is one benchmark measurement. NsPerOp is always set; BytesPerOp
-// and AllocsPerOp only when the run used -benchmem. Wall-clock suite
-// timings reuse the same shape with Count = 1 and NsPerOp = elapsed
-// nanoseconds.
+// and AllocsPerOp only when the run used -benchmem. Suite timings reuse
+// the same shape with Count = 1, NsPerOp = elapsed nanoseconds and the
+// allocation fields taken from runtime.MemStats deltas.
 type Result struct {
 	Name        string  `json:"name"`
 	Count       int64   `json:"count"`
